@@ -8,21 +8,58 @@ flattened state vector is ordered
 
 where h lives on every node, the boundary fluxes at -+a are the scalar
 states q-, q+ themselves, and the truncation condition q(+-L) = 0
-eliminates the outer flux nodes.  The state dimension is therefore
-4*n_side - 1.  Spatial derivatives are second-order central stencils
-with second-order one-sided closures at -+a and +-L; an optional sponge
-profile damps the flux near the truncation boundary to emulate
-radiation to infinity.
+eliminates the outer flux nodes.  :class:`StateLayout` (``grid.layout``)
+is the one place that order is written down; everything else indexes
+the state through its named slots.  Spatial derivatives are second-order
+central stencils with second-order one-sided closures at -+a and +-L; an
+optional sponge profile damps the flux near the truncation boundary to
+emulate radiation to infinity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CompatibilityViolation, InvalidGeometry
 from .spectral import PhysicalParams, coupling_matrix
+
+
+@dataclass(frozen=True)
+class StateLayout:
+    """Named slots of the flattened state vector for ``n_side`` nodes a side.
+
+    ``q_left`` and ``q_right`` cover the interior flux nodes only; the
+    boundary fluxes q-, q+ have their own slots and the outer flux nodes
+    at +-L are not stored.
+    """
+
+    n_side: int
+    H: int = field(init=False)
+    h_left: slice = field(init=False)
+    h_right: slice = field(init=False)
+    q_left: slice = field(init=False)
+    q_right: slice = field(init=False)
+    q_minus: int = field(init=False)
+    q_plus: int = field(init=False)
+    dim: int = field(init=False)
+
+    def __post_init__(self):
+        n = self.n_side
+        slots = {
+            "H": 0,
+            "h_left": slice(1, n + 1),
+            "h_right": slice(n + 1, 2 * n + 1),
+            "q_left": slice(2 * n + 1, 3 * n - 1),
+            "q_right": slice(3 * n - 1, 4 * n - 3),
+            "q_minus": 4 * n - 3,
+            "q_plus": 4 * n - 2,
+            "dim": 4 * n - 1,
+        }
+        for name, slot in slots.items():
+            object.__setattr__(self, name, slot)
 
 
 @dataclass(frozen=True)
@@ -44,9 +81,13 @@ class Grid:
     def x_right(self) -> np.ndarray:
         return np.linspace(self.params.a, self.L, self.n_side)
 
+    @cached_property
+    def layout(self) -> StateLayout:
+        return StateLayout(self.n_side)
+
     @property
     def state_dim(self) -> int:
-        return 4 * self.n_side - 1
+        return self.layout.dim
 
     def sponge(self, x) -> np.ndarray:
         """Damping profile: quadratic ramp inside the sponge band, else 0."""
@@ -114,37 +155,39 @@ class State:
         return -(self.q_plus - self.q_minus) / (2.0 * grid.params.a)
 
     def flatten(self, grid) -> np.ndarray:
-        n = grid.n_side
-        z = np.empty(grid.state_dim)
-        z[0] = self.H
-        z[1:n + 1] = self.h_left
-        z[n + 1:2 * n + 1] = self.h_right
-        z[2 * n + 1:3 * n - 1] = self.q_left[1:-1]
-        z[3 * n - 1:4 * n - 3] = self.q_right[1:-1]
-        z[4 * n - 3] = self.q_left[-1]
-        z[4 * n - 2] = self.q_right[0]
+        """Pack into ``grid.layout`` order: real, or complex if any field is."""
+        lay = grid.layout
+        z = np.empty(lay.dim, dtype=np.result_type(float, self.H, self.h_left,
+                                                    self.h_right, self.q_left, self.q_right))
+        z[lay.H] = self.H
+        z[lay.h_left] = self.h_left
+        z[lay.h_right] = self.h_right
+        z[lay.q_left] = self.q_left[1:-1]
+        z[lay.q_right] = self.q_right[1:-1]
+        z[lay.q_minus] = self.q_left[-1]
+        z[lay.q_plus] = self.q_right[0]
         return z
 
     @classmethod
     def unflatten(cls, z, grid) -> "State":
-        n = grid.n_side
-        z = np.asarray(z, dtype=float)
-        if z.shape != (grid.state_dim,):
-            raise ValueError(f"expected state vector of length {grid.state_dim}")
-        q_left = np.concatenate([[0.0], z[2 * n + 1:3 * n - 1], [z[4 * n - 3]]])
-        q_right = np.concatenate([[z[4 * n - 2]], z[3 * n - 1:4 * n - 3], [0.0]])
-        return cls(float(z[0]), z[1:n + 1].copy(), z[n + 1:2 * n + 1].copy(),
+        """Inverse of :meth:`flatten`; the outer flux nodes come back as 0."""
+        lay = grid.layout
+        z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
+        if z.shape != (lay.dim,):
+            raise ValueError(f"expected state vector of length {lay.dim}")
+        q_left = np.concatenate([[0.0], z[lay.q_left], [z[lay.q_minus]]])
+        q_right = np.concatenate([[z[lay.q_plus]], z[lay.q_right], [0.0]])
+        return cls(z[lay.H].item(), z[lay.h_left].copy(), z[lay.h_right].copy(),
                    q_left, q_right)
 
 
 @dataclass(frozen=True)
 class SemiDiscreteSystem:
-    """Dense generator, input column, output row and energy feedback row."""
+    """Dense generator, input column and output row; u = -C z feeds energy back."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    F: np.ndarray
     grid: Grid
 
     @property
@@ -152,34 +195,11 @@ class SemiDiscreteSystem:
         return self.A.shape[0]
 
 
-class _Layout:
-    """Index bookkeeping for the flattened state."""
-
-    def __init__(self, n):
-        self.n = n
-        self.H = 0
-        self.qm = 4 * n - 3
-        self.qp = 4 * n - 2
-
-    def h_left(self, i):
-        return 1 + i
-
-    def h_right(self, i):
-        return 1 + self.n + i
-
-    def q_left(self, i):
-        if i == 0:
-            return None  # q(-L) = 0
-        if i == self.n - 1:
-            return self.qm
-        return 2 * self.n + i
-
-    def q_right(self, i):
-        if i == 0:
-            return self.qp
-        if i == self.n - 1:
-            return None  # q(L) = 0
-        return 3 * self.n - 2 + i
+def _node_slots(lay: StateLayout):
+    """State index of every node, per side; None marks a pinned outer flux node."""
+    at = range(lay.dim)
+    return (list(at[lay.h_left]), list(at[lay.h_right]),
+            [None, *at[lay.q_left], lay.q_minus], [lay.q_plus, *at[lay.q_right], None])
 
 
 def _first_derivative_coeffs(n, i):
@@ -192,7 +212,7 @@ def _first_derivative_coeffs(n, i):
 
 
 def assemble(grid: Grid) -> SemiDiscreteSystem:
-    """Assemble the dense generator A, input B, output C and feedback F.
+    """Assemble the dense generator A, input column B and output row C.
 
     Rows implement: Hdot = -(q+ - q-)/(2a); hdot = -dq/dx at every node;
     qdot = -dh/dx + mu*d2q/dx2 - sigma(x)*q at interior exterior nodes;
@@ -203,74 +223,71 @@ def assemble(grid: Grid) -> SemiDiscreteSystem:
     a, mu = p.a, p.mu
     n = grid.n_side
     dx = grid.spacing
-    lay = _Layout(n)
-    dim = grid.state_dim
-    A = np.zeros((dim, dim))
+    lay = grid.layout
+    h_left, h_right, q_left, q_right = _node_slots(lay)
+    qm, qp = lay.q_minus, lay.q_plus
+    A = np.zeros((lay.dim, lay.dim))
 
     def add(row, col, val):
         if col is not None:
-            A[row, col] += val
+            row[col] += val
 
     # solid height: Hdot = -(q+ - q-)/(2a)
-    add(lay.H, lay.qp, -1.0 / (2.0 * a))
-    add(lay.H, lay.qm, +1.0 / (2.0 * a))
+    add(A[lay.H], qp, -1.0 / (2.0 * a))
+    add(A[lay.H], qm, +1.0 / (2.0 * a))
 
     # surface height: hdot = -dq/dx on every node of both sides
-    for q_of, h_of in ((lay.q_left, lay.h_left), (lay.q_right, lay.h_right)):
+    for q_of, h_of in ((q_left, h_left), (q_right, h_right)):
         for i in range(n):
             for j, w in _first_derivative_coeffs(n, i):
-                add(h_of(i), q_of(j), -w / (2.0 * dx))
+                add(A[h_of[i]], q_of[j], -w / (2.0 * dx))
 
     # flux: qdot = -dh/dx + mu*q'' - sigma*q at interior exterior nodes
-    for q_of, h_of, xs in ((lay.q_left, lay.h_left, grid.x_left),
-                           (lay.q_right, lay.h_right, grid.x_right)):
+    for q_of, h_of, xs in ((q_left, h_left, grid.x_left),
+                           (q_right, h_right, grid.x_right)):
         sig = grid.sponge(xs)
         for i in range(1, n - 1):
-            row = q_of(i)
-            add(row, h_of(i + 1), -1.0 / (2.0 * dx))
-            add(row, h_of(i - 1), +1.0 / (2.0 * dx))
-            add(row, q_of(i - 1), mu / dx**2)
-            add(row, q_of(i), -2.0 * mu / dx**2)
-            add(row, q_of(i + 1), mu / dx**2)
-            add(row, q_of(i), -sig[i])
+            row = A[q_of[i]]
+            add(row, h_of[i + 1], -1.0 / (2.0 * dx))
+            add(row, h_of[i - 1], +1.0 / (2.0 * dx))
+            add(row, q_of[i - 1], mu / dx**2)
+            add(row, q_of[i], -2.0 * mu / dx**2)
+            add(row, q_of[i + 1], mu / dx**2)
+            add(row, q_of[i], -sig[i])
 
     # boundary fluxes: [qdot-, qdot+] = 4a^2 M [b1, b2] with
     # b1 =  mu*(q+ - q-)/(2a) + (h(-a) - H) - mu*dq/dx(-a-)
     # b2 = -mu*(q+ - q-)/(2a) - (h(a) - H) + mu*dq/dx(a+)
-    b1 = np.zeros(dim)
-    b2 = np.zeros(dim)
+    b1 = np.zeros(lay.dim)
+    b2 = np.zeros(lay.dim)
 
-    def acc(vec, col, val):
-        if col is not None:
-            vec[col] += val
-
-    acc(b1, lay.qp, mu / (2.0 * a))
-    acc(b1, lay.qm, -mu / (2.0 * a))
-    acc(b1, lay.h_left(n - 1), 1.0)
-    acc(b1, lay.H, -1.0)
+    add(b1, qp, mu / (2.0 * a))
+    add(b1, qm, -mu / (2.0 * a))
+    add(b1, h_left[n - 1], 1.0)
+    add(b1, lay.H, -1.0)
     for j, w in _first_derivative_coeffs(n, n - 1):
-        acc(b1, lay.q_left(j), -mu * w / (2.0 * dx))
+        add(b1, q_left[j], -mu * w / (2.0 * dx))
 
-    acc(b2, lay.qp, -mu / (2.0 * a))
-    acc(b2, lay.qm, +mu / (2.0 * a))
-    acc(b2, lay.h_right(0), -1.0)
-    acc(b2, lay.H, +1.0)
+    add(b2, qp, -mu / (2.0 * a))
+    add(b2, qm, +mu / (2.0 * a))
+    add(b2, h_right[0], -1.0)
+    add(b2, lay.H, +1.0)
     for j, w in _first_derivative_coeffs(n, 0):
-        acc(b2, lay.q_right(j), +mu * w / (2.0 * dx))
+        add(b2, q_right[j], +mu * w / (2.0 * dx))
 
     m = coupling_matrix(p)
-    A[lay.qm, :] = 4.0 * a * a * (m[0, 0] * b1 + m[0, 1] * b2)
-    A[lay.qp, :] = 4.0 * a * a * (m[1, 0] * b1 + m[1, 1] * b2)
+    A[qm, :] = 4.0 * a * a * (m[0, 0] * b1 + m[0, 1] * b2)
+    A[qp, :] = 4.0 * a * a * (m[1, 0] * b1 + m[1, 1] * b2)
 
-    B = np.zeros(dim)
+    B = np.zeros(lay.dim)
     bm = 2.0 * a * (m @ np.array([1.0, -1.0]))
-    B[lay.qm] = bm[0]
-    B[lay.qp] = bm[1]
+    B[qm] = bm[0]
+    B[qp] = bm[1]
 
-    C = np.zeros(dim)
-    C[lay.qp] = -1.0 / (2.0 * a)
-    C[lay.qm] = +1.0 / (2.0 * a)
-    return SemiDiscreteSystem(A, B, C, -C, grid)
+    C = np.zeros(lay.dim)
+    C[qp] = -1.0 / (2.0 * a)
+    C[qm] = +1.0 / (2.0 * a)
+    return SemiDiscreteSystem(A, B, C, grid)
 
 
 def dqdx_nodal(values, spacing):
@@ -374,27 +391,22 @@ def energy_matrix(grid: Grid) -> np.ndarray:
     n = grid.n_side
     dx = grid.spacing
     a = grid.params.a
-    lay = _Layout(n)
-    dim = grid.state_dim
-    W = np.zeros((dim, dim))
+    lay = grid.layout
+    W = np.zeros((lay.dim, lay.dim))
     w_trapz = np.full(n, dx)
     w_trapz[0] = w_trapz[-1] = dx / 2.0
-    for i in range(n):
-        W[lay.h_left(i), lay.h_left(i)] += w_trapz[i]
-        W[lay.h_right(i), lay.h_right(i)] += w_trapz[i]
-        for q_of in (lay.q_left, lay.q_right):
-            col = q_of(i)
+    for nodes in _node_slots(lay):
+        for col, w in zip(nodes, w_trapz):
             if col is not None:
-                W[col, col] += w_trapz[i]
+                W[col, col] += w
     # interior closed forms: 2a*H^2, 2a*mean_q^2, (2a^3/3 + 1)*hdot^2
     W[lay.H, lay.H] += 2.0 * a
-    mean_vec = np.zeros(dim)
-    mean_vec[lay.qp] = 0.5
-    mean_vec[lay.qm] = 0.5
+    mean_vec = np.zeros(lay.dim)
+    mean_vec[[lay.q_plus, lay.q_minus]] = 0.5
     W += 2.0 * a * np.outer(mean_vec, mean_vec)
-    hdot_vec = np.zeros(dim)
-    hdot_vec[lay.qp] = -1.0 / (2.0 * a)
-    hdot_vec[lay.qm] = +1.0 / (2.0 * a)
+    hdot_vec = np.zeros(lay.dim)
+    hdot_vec[lay.q_plus] = -1.0 / (2.0 * a)
+    hdot_vec[lay.q_minus] = +1.0 / (2.0 * a)
     W += (2.0 * a**3 / 3.0 + 1.0) * np.outer(hdot_vec, hdot_vec)
     return W
 

@@ -55,13 +55,6 @@ class Stepper:
         return sla.lu_solve(self._lu, rhs)
 
 
-def step(system, state: State, u_now, u_next, dt, scheme="trapezoidal") -> State:
-    """Advance one implicit step; convenience wrapper around :class:`Stepper`."""
-    stepper = Stepper(system, dt, scheme)
-    z = stepper.advance(state.flatten(system.grid), u_now, u_next)
-    return State.unflatten(z, system.grid)
-
-
 @dataclass
 class Trajectory:
     """Sampled closed- or open-loop run with per-sample energy."""
@@ -80,15 +73,13 @@ class Trajectory:
         return State.unflatten(self.states[k], self.system.grid)
 
     def write_csv(self, path):
-        grid = self.system.grid
-        n = grid.n_side
-        iqm, iqp = 4 * n - 3, 4 * n - 2
+        lay = self.system.grid.layout
         data = np.column_stack([
             self.times,
-            self.states[:, 0],
+            self.states[:, lay.H],
             self.outputs(),
-            self.states[:, iqm],
-            self.states[:, iqp],
+            self.states[:, lay.q_minus],
+            self.states[:, lay.q_plus],
             self.energies,
             self.inputs,
         ])
@@ -120,7 +111,7 @@ def simulate(system, z0, T, dt, u=None, gain=None, scheme="trapezoidal") -> Traj
     if gain is not None:
         gain = np.asarray(gain, dtype=float).reshape(-1)
         closed = SemiDiscreteSystem(system.A - np.outer(system.B, gain),
-                                    np.zeros(system.dim), system.C, system.F, grid)
+                                    np.zeros(system.dim), system.C, grid)
         stepper = Stepper(closed, dt, scheme)
         inputs[0] = -gain @ z
         for k in range(1, n_steps + 1):

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import GridMismatch, NonDecayingOmega, SingularMatrix, SpectrumProximity
 from .spectral import (
@@ -105,7 +104,10 @@ def _scaled_cumulatives(omega, grid, values):
     """
     steps = np.diff(grid)
     n = grid.size
-    if np.allclose(steps, steps[0], rtol=0, atol=1e-12 * abs(steps[0])):
+    # uniform up to the rounding of the abscissae themselves
+    if np.allclose(steps, steps[0], rtol=0, atol=4 * np.finfo(float).eps * np.abs(grid).max()):
+        from scipy.signal import lfilter  # deferred: importing scipy.signal costs about 1 s
+
         d = np.exp(-omega * steps[0])
         half = 0.5 * steps[0]
         g = np.empty(n, dtype=complex)

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floatlab
 from floatlab import cli
 
 
@@ -161,3 +166,15 @@ class TestPresetGrammar:
         code = cli.main(["--config", str(small_config), "--out", str(tmp_path),
                         "simulate", "--z0", "vortex", "--controller", "none"])
         assert code == 2
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # lqr and simulate never filter; only the uniform half-line path does
+        src = str(Path(floatlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, floatlab.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

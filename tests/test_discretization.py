@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floatlab import discretization as dz
 from floatlab.errors import CompatibilityViolation, InvalidGeometry
@@ -61,24 +63,57 @@ class TestStateLayout:
         assert st.q_left[0] == 0.0 and st.q_right[-1] == 0.0
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 64), complex_fields=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_layout_properties(self, n, complex_fields, seed):
+        grid = dz.build_grid(P11, 5.0, n)
+        rng = np.random.default_rng(seed)
+
+        def field(size):
+            re = rng.standard_normal(size)
+            return re + 1j * rng.standard_normal(size) if complex_fields else re
+
+        s = dz.State(field(1)[0], field(n), field(n), field(n), field(n))
+        z = s.flatten(grid)
+        documented = np.concatenate([[s.H], s.h_left, s.h_right, s.q_left[1:-1],
+                                     s.q_right[1:-1], [s.q_left[-1], s.q_right[0]]])
+        assert z.dtype == documented.dtype and np.array_equal(z, documented)
+
+        back = dz.State.unflatten(z, grid)
+        pinned_left, pinned_right = s.q_left.copy(), s.q_right.copy()
+        pinned_left[0] = pinned_right[-1] = 0.0
+        assert back.H == s.H
+        for got, want in ((back.h_left, s.h_left), (back.h_right, s.h_right),
+                          (back.q_left, pinned_left), (back.q_right, pinned_right)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+        lay = grid.layout
+        every = np.arange(lay.dim)
+        covered = np.concatenate([np.atleast_1d(every[getattr(lay, name)]) for name in
+                                  ("H", "h_left", "h_right", "q_left", "q_right",
+                                   "q_minus", "q_plus")])
+        assert np.array_equal(np.sort(covered), every)
+        assert lay.dim == grid.state_dim
+
+
 class TestAssemble:
     def test_input_column_closed_form(self):
         for a in (0.5, 1.0, 2.0):
             grid = dz.default_grid(PhysicalParams(a, 1.0), n_side=16)
             system = dz.assemble(grid)
-            n = grid.n_side
+            lay = grid.layout
             direct = a / (1.0 + 2.0 * a**3 / 3.0)
-            assert abs(system.B[4 * n - 3] - direct) <= 1e-12
-            assert abs(system.B[4 * n - 2] + direct) <= 1e-12
+            assert abs(system.B[lay.q_minus] - direct) <= 1e-12
+            assert abs(system.B[lay.q_plus] + direct) <= 1e-12
             m = coupling_matrix(grid.params)
-            assert system.B[[4 * n - 3, 4 * n - 2]] == pytest.approx(
+            assert system.B[[lay.q_minus, lay.q_plus]] == pytest.approx(
                 2.0 * a * (m @ [1.0, -1.0]), abs=1e-14)
 
     def test_unit_half_width_input_values(self):
         grid = dz.default_grid(P11, n_side=16)
         system = dz.assemble(grid)
-        assert system.B[4 * 16 - 3] == pytest.approx(0.6)
-        assert system.B[4 * 16 - 2] == pytest.approx(-0.6)
+        assert system.B[grid.layout.q_minus] == pytest.approx(0.6)
+        assert system.B[grid.layout.q_plus] == pytest.approx(-0.6)
 
     def test_rest_state_is_equilibrium(self):
         grid = dz.default_grid(P11, n_side=40)
@@ -91,10 +126,6 @@ class TestAssemble:
         grid = dz.build_grid(P11, 20.0, 80)
         ev = np.linalg.eigvals(dz.assemble(grid).A)
         assert ev.real.max() <= 1e-8
-
-    def test_feedback_row_is_minus_output_row(self):
-        system = dz.assemble(dz.default_grid(P11, n_side=24))
-        assert np.array_equal(system.F, -system.C)
 
     def test_output_row_reads_hdot(self):
         grid = dz.default_grid(P11, n_side=24)

@@ -16,8 +16,7 @@ def small_system(n=48):
 
 
 def scalar_system(rate=-1.0):
-    return dz.SemiDiscreteSystem(np.array([[rate]]), np.zeros(1), np.zeros(1),
-                                 np.zeros(1), None)
+    return dz.SemiDiscreteSystem(np.array([[rate]]), np.zeros(1), np.zeros(1), None)
 
 
 class TestStep:
@@ -33,15 +32,17 @@ class TestStep:
 
     def test_zero_state_stays_zero(self):
         system = small_system()
-        out = dyn.step(system, dz.rest_state(system.grid), 0.0, 0.0, 0.05)
-        assert np.all(out.flatten(system.grid) == 0.0)
+        grid = system.grid
+        z = dyn.Stepper(system, 0.05).advance(dz.rest_state(grid).flatten(grid), 0.0, 0.0)
+        assert np.all(dz.State.unflatten(z, grid).flatten(grid) == 0.0)
 
     def test_equilibrium_unchanged(self):
         system = small_system()
         grid = system.grid
         n = grid.n_side
         rest = dz.State(1.0, np.ones(n), np.ones(n), np.zeros(n), np.zeros(n))
-        out = dyn.step(system, rest, 0.0, 0.0, 0.1)
+        z = dyn.Stepper(system, 0.1).advance(rest.flatten(grid), 0.0, 0.0)
+        out = dz.State.unflatten(z, grid)
         assert np.abs(out.flatten(grid) - rest.flatten(grid)).max() <= 1e-12
 
     def test_invalid_arguments(self):

@@ -119,6 +119,41 @@ class TestHelmholtzParticular:
         assert min(orders) >= 1.7
 
 
+class TestUniformPath:
+    @staticmethod
+    def per_node_cumulatives(omega, grid, values):
+        fwd = np.zeros(grid.size, dtype=complex)
+        bwd = np.zeros(grid.size, dtype=complex)
+        for j in range(1, grid.size):
+            h = grid[j] - grid[j - 1]
+            d = np.exp(-omega * h)
+            fwd[j] = d * fwd[j - 1] + 0.5 * h * (d * values[j - 1] + values[j])
+        for j in range(grid.size - 2, -1, -1):
+            h = grid[j + 1] - grid[j]
+            d = np.exp(-omega * h)
+            bwd[j] = d * bwd[j + 1] + 0.5 * h * (values[j] + d * values[j + 1])
+        return fwd, bwd
+
+    @pytest.mark.parametrize("grid", [np.linspace(1.0, 20.0, 9501),
+                                      np.arange(1.0, 20.0 + 0.001, 0.002)],
+                             ids=["linspace", "arange"])
+    def test_fine_grid_takes_the_filter_path(self, grid, monkeypatch):
+        import scipy.signal
+
+        calls = []
+        real = scipy.signal.lfilter
+        monkeypatch.setattr(scipy.signal, "lfilter",
+                            lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        omega = 0.7 + 2.3j
+        rv.helmholtz_particular("right", omega, rv.HalfLineFunction("right", grid, values))
+        assert calls
+        fast = rv._scaled_cumulatives(omega, grid, values)
+        for got, ref in zip(fast, self.per_node_cumulatives(omega, grid, values)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestHelmholtzHalfline:
     def test_zero_data(self):
         g = right_grid(0.1)
