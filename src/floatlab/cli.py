@@ -44,6 +44,8 @@ def load_config(path=None) -> dict:
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError("the configuration must be a JSON object")
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(value)
@@ -52,7 +54,31 @@ def load_config(path=None) -> dict:
     return cfg
 
 
+def _check_types(cfg, defaults, where=""):
+    """Every key known and every value of its default's kind; numbers finite."""
+    for key in cfg:
+        if key not in defaults:
+            raise ValueError(f"unknown key {where}{key}")
+    for key, default in defaults.items():
+        value, name = cfg[key], where + key
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"{name} must be an object")
+            _check_types(value, default, name + ".")
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string")
+        elif isinstance(default, int):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number")
+        elif not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def validate_config(cfg):
+    _check_types(cfg, DEFAULT_CONFIG)
     p, g, t = cfg["params"], cfg["grid"], cfg["time"]
     if p["a"] <= 0 or p["mu"] <= 0:
         raise ValueError("params.a and params.mu must be positive")

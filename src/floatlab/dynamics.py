@@ -2,8 +2,15 @@
 
 The semigroup is analytic, so the semi-discrete system is stiff and the
 schemes here are unconditionally stable implicit one-step methods:
-trapezoidal (default, second order) and implicit Euler.  The implicit
-matrix is factorized once per (dt, scheme) and reused across the march.
+trapezoidal (default, second order) and implicit Euler.  The generator
+has a few nonzeros per row, so the implicit matrix I - theta*dt*A is
+factorised once per march with a sparse LU (theta = 1/2 trapezoidal, 1
+implicit Euler).  A state feedback u = -K z never forms the dense closed
+loop A - B K: it enters each step as a rank-one (Sherman-Morrison)
+correction along w = (I - theta*dt*A)^-1 B, so the open loop, the energy
+feedbacks and the Riccati gain all step on the same kind of
+factorisation.  The adaptive horizon marches into one preallocated
+history with a single factorisation.
 """
 
 from __future__ import annotations
@@ -12,47 +19,45 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sps
+from scipy.sparse.linalg import splu
 
 from .discretization import SemiDiscreteSystem, State, dqdx_nodal, energy_matrix
 from .errors import NonDecayingTail, SingularSystem
 
 _SCHEMES = ("trapezoidal", "implicit_euler")
+#: Rows per block of the energy quadratic form: bounds its temporaries.
+_ENERGY_BLOCK = 1024
 
 
 class Stepper:
-    """One-step implicit integrator with a cached LU factorization."""
+    """One-step implicit integrator with a cached sparse LU factorisation."""
 
     def __init__(self, system: SemiDiscreteSystem, dt, scheme="trapezoidal"):
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
         self.system = system
         self.dt = float(dt)
         self.scheme = scheme
-        eye = np.eye(system.dim)
-        a = system.A
-        if scheme == "trapezoidal":
-            implicit = eye - 0.5 * dt * a
-            self._explicit = eye + 0.5 * dt * a
-        else:
-            implicit = eye - dt * a
-            self._explicit = eye
+        self.theta = 0.5 if scheme == "trapezoidal" else 1.0
+        a = sps.csc_array(system.A)
+        eye = sps.identity(system.dim, format="csc")
+        self._explicit = (eye + 0.5 * self.dt * a).tocsr() if scheme == "trapezoidal" else None
         try:
-            self._lu = sla.lu_factor(implicit)
-        except (ValueError, sla.LinAlgError) as exc:
+            self._lu = splu(sps.csc_array(eye - self.theta * self.dt * a))
+        except RuntimeError as exc:
             raise SingularSystem(f"implicit matrix singular for dt={dt}") from exc
-        if np.any(np.diag(self._lu[0]) == 0):
-            raise SingularSystem(f"implicit matrix singular for dt={dt}")
+        self._w = self._lu.solve(np.asarray(system.B, dtype=float))
 
     def advance(self, z, u_now, u_next):
         b = self.system.B
-        if self.scheme == "trapezoidal":
+        if self._explicit is not None:
             rhs = self._explicit @ z + 0.5 * self.dt * b * (u_now + u_next)
         else:
             rhs = z + self.dt * b * u_next
-        return sla.lu_solve(self._lu, rhs)
+        return self._lu.solve(rhs)
 
 
 @dataclass
@@ -87,6 +92,51 @@ class Trajectory:
                    header="t,H,Hdot,q_minus,q_plus,E,u", comments="")
 
 
+def _march(stepper, states, inputs, start, stop, gain):
+    """Fill rows start+1..stop of ``states`` by stepping from row ``start``.
+
+    Without a gain ``inputs`` holds the open-loop samples.  With a gain K
+    the step solves (I - theta*dt*(A - B K)) z1 = ... through the open-loop
+    factorisation: y steps with u_next = 0, then u_next = -K z1 follows
+    from z1 = y + theta*dt*w*u_next, and is recorded in ``inputs``.
+    """
+    z = states[start]
+    if gain is None:
+        for k in range(start + 1, stop + 1):
+            z = stepper.advance(z, inputs[k - 1], inputs[k])
+            states[k] = z
+        return
+    correction = stepper.theta * stepper.dt * stepper._w
+    denominator = 1.0 + gain @ correction
+    for k in range(start + 1, stop + 1):
+        y = stepper.advance(z, inputs[k - 1], 0.0)
+        u_next = -(gain @ y) / denominator
+        z = y + correction * u_next
+        states[k] = z
+        inputs[k] = u_next
+
+
+def _energies(states, grid):
+    """0.5 * z^T W z per row, one block of rows at a time."""
+    w = sps.csr_array(energy_matrix(grid))
+    out = np.empty(states.shape[0])
+    for i in range(0, states.shape[0], _ENERGY_BLOCK):
+        block = states[i:i + _ENERGY_BLOCK]
+        out[i:i + _ENERGY_BLOCK] = 0.5 * np.einsum("ti,ti->t", block @ w, block)
+    return out
+
+
+def _start(system, z0, n_steps, gain):
+    """Empty history with z0 in row 0, and the feedback row vector if any."""
+    states = np.empty((n_steps + 1, system.dim))
+    states[0] = z0.flatten(system.grid) if isinstance(z0, State) else z0
+    inputs = np.zeros(n_steps + 1)
+    if gain is not None:
+        gain = np.asarray(gain, dtype=float).reshape(-1)
+        inputs[0] = -gain @ states[0]
+    return states, inputs, gain
+
+
 def simulate(system, z0, T, dt, u=None, gain=None, scheme="trapezoidal") -> Trajectory:
     """March the system from z0 for a horizon T with step dt.
 
@@ -97,83 +147,51 @@ def simulate(system, z0, T, dt, u=None, gain=None, scheme="trapezoidal") -> Traj
     """
     if u is not None and gain is not None:
         raise ValueError("pass an open-loop input or a feedback gain, not both")
-    if T <= 0 or dt <= 0:
+    if not (T > 0 and dt > 0):
         raise ValueError("T and dt must be positive")
-    grid = system.grid
-    z = z0.flatten(grid) if isinstance(z0, State) else np.asarray(z0, dtype=float).copy()
     n_steps = int(round(T / dt))
     times = dt * np.arange(n_steps + 1)
-
-    states = np.empty((n_steps + 1, system.dim))
-    inputs = np.empty(n_steps + 1)
-    states[0] = z
-
-    if gain is not None:
-        gain = np.asarray(gain, dtype=float).reshape(-1)
-        closed = SemiDiscreteSystem(system.A - np.outer(system.B, gain),
-                                    np.zeros(system.dim), system.C, grid)
-        stepper = Stepper(closed, dt, scheme)
-        inputs[0] = -gain @ z
-        for k in range(1, n_steps + 1):
-            z = stepper.advance(z, 0.0, 0.0)
-            states[k] = z
-            inputs[k] = -gain @ z
-    else:
-        if u is None:
-            u_samples = np.zeros(n_steps + 1)
-        elif callable(u):
-            u_samples = np.array([u(t) for t in times], dtype=float)
-        else:
-            u_samples = np.asarray(u, dtype=float)
-            if u_samples.shape != times.shape:
-                raise ValueError(
-                    f"open-loop input must have {n_steps + 1} samples")
-        stepper = Stepper(system, dt, scheme)
+    states, inputs, gain = _start(system, z0, n_steps, gain)
+    if callable(u):
+        inputs[:] = [u(t) for t in times]
+    elif u is not None:
+        u_samples = np.asarray(u, dtype=float)
+        if u_samples.shape != times.shape:
+            raise ValueError(f"open-loop input must have {n_steps + 1} samples")
         inputs[:] = u_samples
-        for k in range(1, n_steps + 1):
-            z = stepper.advance(z, u_samples[k - 1], u_samples[k])
-            states[k] = z
-
-    w = energy_matrix(grid)
-    energies = 0.5 * np.einsum("ti,ti->t", states @ w, states)
-    return Trajectory(times, states, inputs, energies, system)
+    _march(Stepper(system, dt, scheme), states, inputs, 0, n_steps, gain)
+    return Trajectory(times, states, inputs, _energies(states, system.grid), system)
 
 
 def simulate_adaptive(system, z0, dt, t_max, u=None, gain=None,
                       scheme="trapezoidal", stop_ratio=1e-12, chunk=25.0) -> Trajectory:
-    """March in chunks until the running cost integrand dies out or t_max.
+    """March until the running cost integrand dies out or t_max.
 
-    The stop test compares |u|^2 + |Hdot|^2 at the current time against
-    its peak over the whole run; the system is not exponentially stable,
-    so t_max caps the horizon when decay is slow.
+    The stop test runs at the end of every ``chunk`` time units and
+    compares |u|^2 + |Hdot|^2 there against its peak over the whole run;
+    the system is not exponentially stable, so t_max caps the horizon
+    when decay is slow.  One factorisation serves the whole run.
     """
     if u is not None:
         raise ValueError("adaptive horizon supports zero input or feedback only")
-    grid = system.grid
-    z = z0.flatten(grid) if isinstance(z0, State) else np.asarray(z0, dtype=float)
-    pieces = []
-    t_done = 0.0
-    peak = 0.0
-    while t_done < t_max:
-        span = min(chunk, t_max - t_done)
-        traj = simulate(system, z, span, dt, gain=gain, scheme=scheme)
-        traj = Trajectory(traj.times + t_done, traj.states, traj.inputs,
-                          traj.energies, system)
-        pieces.append(traj)
-        z = traj.states[-1]
-        t_done = float(traj.times[-1])
-        g = traj.inputs ** 2 + traj.outputs() ** 2
+    if not (t_max > 0 and dt > 0):
+        raise ValueError("t_max and dt must be positive")
+    n_steps = int(round(t_max / dt))
+    chunk_steps = max(1, int(round(chunk / dt)))
+    states, inputs, gain = _start(system, z0, n_steps, gain)
+    stepper = Stepper(system, dt, scheme)
+    k, peak = 0, 0.0
+    while k < n_steps:
+        end = min(k + chunk_steps, n_steps)
+        _march(stepper, states, inputs, k, end, gain)
+        g = inputs[k:end + 1] ** 2 + (states[k:end + 1] @ system.C) ** 2
+        k = end
         peak = max(peak, float(g.max()))
         if peak > 0 and g[-1] <= stop_ratio * peak:
             break
-    first = pieces[0]
-    if len(pieces) == 1:
-        return first
-    times = np.concatenate([first.times] + [p.times[1:] for p in pieces[1:]])
-    states = np.concatenate([first.states] + [p.states[1:] for p in pieces[1:]])
-    inputs = np.concatenate([first.inputs] + [p.inputs[1:] for p in pieces[1:]])
-    energies = np.concatenate([first.energies] + [p.energies[1:] for p in pieces[1:]])
-    return Trajectory(times, states, inputs, energies, system)
+    states = states[:k + 1]
+    return Trajectory(dt * np.arange(k + 1), states, inputs[:k + 1],
+                      _energies(states, system.grid), system)
 
 
 @dataclass

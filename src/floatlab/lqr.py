@@ -22,37 +22,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtrsyl
 
 from .discretization import SemiDiscreteSystem
 from .dynamics import cost, simulate
-from .errors import NoConvergence, UnstableClosedLoop
+from .errors import NoConvergence, SingularMatrix, UnstableClosedLoop
 from .linalg import matrix_sign
 
 _KERNEL_RCOND = 1e-10
 
 
 def lyapunov_solve(acl, q):
-    """Solve acl^T X + X acl + q = 0 by Schur back-substitution.
+    """Solve acl^T X + X acl + q = 0 by Bartels-Stewart in real arithmetic.
 
     ``acl`` must be Hurwitz; ``q`` symmetric.  The matrix is reduced to
-    complex Schur form and the transformed equation solved column by
-    column against the triangular factor.
+    real Schur form T = U^T acl U and the transformed Sylvester equation
+    T^T Y + Y T = -U^T q U is solved by LAPACK's trsyl.
     """
     acl = np.asarray(acl, dtype=float)
     q = np.asarray(q, dtype=float)
-    t, u = sla.schur(acl, output="complex")
-    eigs = np.diag(t)
-    if np.any(eigs.real >= 0):
-        raise UnstableClosedLoop(
-            f"closed-loop eigenvalue with Re = {eigs.real.max():.3e} >= 0")
-    qt = u.conj().T @ q @ u
-    n = acl.shape[0]
-    y = np.zeros((n, n), dtype=complex)
-    th = t.conj().T  # lower triangular
-    for k in range(n):
-        rhs = -qt[:, k] - y[:, :k] @ t[:k, k]
-        y[:, k] = sla.solve_triangular(th + t[k, k] * np.eye(n), rhs, lower=True)
-    x = (u @ y @ u.conj().T).real
+    t, u = sla.schur(acl, output="real")
+    # LAPACK standardises each 2x2 block to equal diagonal entries, which
+    # are then the real part of its complex pair
+    re = np.diag(t)
+    if np.any(re >= 0):
+        raise UnstableClosedLoop(f"closed-loop eigenvalue with Re = {re.max():.3e} >= 0")
+    y, scale, info = dtrsyl(t, t, -(u.T @ q @ u), trana="T")
+    if info != 0:
+        raise SingularMatrix(f"trsyl failed with info={info}")
+    x = u @ (y / scale) @ u.T
     return 0.5 * (x + x.T)
 
 

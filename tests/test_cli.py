@@ -55,6 +55,31 @@ class TestConfig:
         code = cli.main(["--config", str(path), "--out", str(tmp_path), "spectrum"])
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"grid": {"n_side": "100"}}',
+        '[{"grid": {"n_side": 50}}]',
+        '{"time": {"dt": NaN}}',
+        '{"time": {"T_max": Infinity}}',
+        '{"grid": {"n_sides": 50}}',
+    ])
+    def test_malformed_configs_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = cli.main(["--config", str(path), "--out", str(tmp_path), "spectrum"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("patch", [
+        {"grid": {"n_side": 24}, "time": {"dt": 0.2}},
+        {"time": {"T_max": 100.0}},
+        {"grid": {"n_side": 24}, "time": {"dt": 0.1, "T_max": 50.0}},
+    ])
+    def test_benchmark_overrides_accepted(self, tmp_path, patch):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(patch))
+        cli.validate_config(cli.load_config(path))
+
     def test_missing_config_file_exits_two(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path), "spectrum"])

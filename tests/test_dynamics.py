@@ -5,7 +5,7 @@ import pytest
 
 from floatlab import discretization as dz
 from floatlab import dynamics as dyn
-from floatlab.errors import NonDecayingTail
+from floatlab.errors import NonDecayingTail, SingularSystem
 from floatlab.spectral import PhysicalParams
 
 P11 = PhysicalParams(1.0, 1.0)
@@ -49,7 +49,96 @@ class TestStep:
         with pytest.raises(ValueError):
             dyn.Stepper(scalar_system(), -0.1)
         with pytest.raises(ValueError):
+            dyn.Stepper(scalar_system(), math.nan)
+        with pytest.raises(ValueError):
             dyn.Stepper(scalar_system(), 0.1, scheme="leapfrog")
+
+
+def dense_reference(system, z0, dt, n_steps, theta, u=None, gain=None):
+    """Theta-scheme march with dense solves on the (closed-loop) generator."""
+    a = system.A if gain is None else system.A - np.outer(system.B, gain)
+    eye = np.eye(system.dim)
+    implicit, explicit = eye - theta * dt * a, eye + (1.0 - theta) * dt * a
+    u = np.zeros(n_steps + 1) if u is None else u
+    states = [np.asarray(z0, dtype=float)]
+    for k in range(1, n_steps + 1):
+        rhs = explicit @ states[-1] + dt * system.B * ((1.0 - theta) * u[k - 1] + theta * u[k])
+        states.append(np.linalg.solve(implicit, rhs))
+    return np.array(states)
+
+
+class TestStepperAgainstDense:
+    SCHEMES = [("trapezoidal", 0.5), ("implicit_euler", 1.0)]
+
+    @staticmethod
+    def relative(states, reference):
+        return np.abs(states - reference).max() / np.abs(reference).max()
+
+    @pytest.mark.parametrize("scheme,theta", SCHEMES)
+    def test_open_loop_sampled_input(self, scheme, theta):
+        system = small_system(24)
+        z0 = dz.bump_state(system.grid).flatten(system.grid)
+        dt, n_steps = 0.05, 60
+        u = np.sin(0.7 * dt * np.arange(n_steps + 1))
+        traj = dyn.simulate(system, z0, T=dt * n_steps, dt=dt, u=u, scheme=scheme)
+        reference = dense_reference(system, z0, dt, n_steps, theta, u=u)
+        assert self.relative(traj.states, reference) <= 1e-12
+
+    @pytest.mark.parametrize("scheme,theta", SCHEMES)
+    def test_feedback_gain(self, scheme, theta):
+        system = small_system(24)
+        rng = np.random.default_rng(4)
+        gain = 0.5 * system.C + 0.1 * rng.standard_normal(system.dim)
+        z0 = dz.heave_state(system.grid).flatten(system.grid)
+        dt, n_steps = 0.05, 60
+        traj = dyn.simulate(system, z0, T=dt * n_steps, dt=dt, gain=gain, scheme=scheme)
+        reference = dense_reference(system, z0, dt, n_steps, theta, gain=gain)
+        assert self.relative(traj.states, reference) <= 1e-12
+        assert np.abs(traj.inputs + reference @ gain).max() \
+            <= 1e-12 * np.abs(reference @ gain).max()
+
+    def test_singular_implicit_matrix(self):
+        dt = 0.1
+        with pytest.raises(SingularSystem):
+            dyn.Stepper(scalar_system(rate=2.0 / dt), dt)
+
+
+class TestSimulateAdaptive:
+    def test_full_horizon_matches_simulate(self, monkeypatch):
+        system = small_system()
+        z0 = dz.bump_state(system.grid)
+        constructed = []
+        init = dyn.Stepper.__init__
+
+        def spy(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(dyn.Stepper, "__init__", spy)
+        traj = dyn.simulate_adaptive(system, z0, dt=0.05, t_max=30.0, gain=system.C,
+                                     chunk=10.0)
+        assert len(constructed) == 1
+        ref = dyn.simulate(system, z0, T=30.0, dt=0.05, gain=system.C)
+        assert traj.states.shape == ref.states.shape
+        assert np.array_equal(traj.times, 0.05 * np.arange(601))
+        for got, want in ((traj.states, ref.states), (traj.inputs, ref.inputs),
+                          (traj.energies, ref.energies)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_early_stop_returns_rows_up_to_the_stop(self):
+        system = small_system()
+        dt, chunk_steps = 0.05, 200
+        traj = dyn.simulate_adaptive(system, dz.heave_state(system.grid), dt=dt,
+                                     t_max=400.0, gain=system.C, stop_ratio=1e-6,
+                                     chunk=chunk_steps * dt)
+        k = traj.times.size - 1
+        assert 0 < k < 8000 and k % chunk_steps == 0
+        assert traj.states.shape == (k + 1, system.dim)
+        assert traj.inputs.shape == traj.energies.shape == (k + 1,)
+        g = traj.inputs ** 2 + traj.outputs() ** 2
+        assert g[k] <= 1e-6 * g.max()
+        # the chunk end before the stop did not pass the test
+        assert g[k - chunk_steps] > 1e-6 * g[:k - chunk_steps + 1].max()
 
 
 class TestSimulate:

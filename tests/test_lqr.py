@@ -5,7 +5,7 @@ import pytest
 
 from floatlab import discretization as dz
 from floatlab import lqr
-from floatlab.errors import NoConvergence, UnstableClosedLoop
+from floatlab.errors import NoConvergence, SingularMatrix, UnstableClosedLoop
 from floatlab.spectral import PhysicalParams
 
 P11 = PhysicalParams(1.0, 1.0)
@@ -52,6 +52,16 @@ class TestLyapunovSolve:
     def test_unstable_matrix_rejected(self):
         with pytest.raises(UnstableClosedLoop):
             lqr.lyapunov_solve(np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_unstable_complex_pair_rejected(self):
+        # real Schur keeps this as one 2x2 block; its diagonal is Re = 0.1
+        with pytest.raises(UnstableClosedLoop):
+            lqr.lyapunov_solve(np.array([[0.1, 1.0], [-1.0, 0.1]]), np.eye(2))
+
+    def test_nearly_singular_operator_rejected(self):
+        # 2 * (-1e-20) is below eps * ||T||: trsyl would perturb the eigenvalue
+        with pytest.raises(SingularMatrix):
+            lqr.lyapunov_solve(np.diag([-1.0, -1e-20]), np.eye(2))
 
 
 class TestCareScalar:
