@@ -337,15 +337,26 @@ def heave_state(grid, H0=1.0, G0=0.0) -> State:
     return initial_state(grid, H0, G0, lambda x: 0.0, lambda x: 0.0)
 
 
+def _gaussian(center, width, amplitude):
+    """x -> amplitude*exp(-((x - center)/width)^2) for a positive width."""
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width}")
+
+    def profile(x):
+        t = (x - center) / width
+        return amplitude * np.exp(-t * t)  # t * t overflows to inf where t ** 2 raises
+    return profile
+
+
 def bump_state(grid, center=5.0, width=2.0, amplitude=0.2) -> State:
     """Gaussian bump on the surface height, fluid initially at rest."""
-    bump = lambda x: amplitude * np.exp(-((x - center) / width) ** 2)
-    return initial_state(grid, 0.0, 0.0, bump, lambda x: 0.0)
+    return initial_state(grid, 0.0, 0.0, _gaussian(center, width, amplitude),
+                         lambda x: 0.0)
 
 
 def flow_state(grid, center=4.0, width=1.5, amplitude=0.3) -> State:
     """Localized flux profile; the solid velocity follows by compatibility."""
-    prof = lambda x: amplitude * np.exp(-((x - center) / width) ** 2)
+    prof = _gaussian(center, width, amplitude)
     a = grid.params.a
     g0 = -(prof(a) - prof(-a)) / (2.0 * a)
     return initial_state(grid, 0.0, g0, lambda x: 0.0, prof)

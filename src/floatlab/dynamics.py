@@ -278,16 +278,6 @@ class CostReport:
         """Finite-horizon cost plus the fitted infinite-horizon remainder."""
         return self.J + self.tail_estimate
 
-    def to_json_dict(self) -> dict:
-        return {
-            "J": self.J, "u_part": self.u_part, "y_part": self.y_part,
-            "horizon": self.horizon, "tail_estimate": self.tail_estimate,
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
 
 def cost(trajectory: Trajectory) -> CostReport:
     """Trapezoid quadrature of the running cost, with an exponential tail fit.

@@ -1,80 +1,20 @@
-"""Dense linear-algebra kernels used across the package.
+"""Matrix sign iteration and the FLTC binary matrix format.
 
-Thin, contract-checked wrappers around LAPACK (via numpy/scipy) for the
-factorization-style kernels, plus a Newton iteration with determinant
-scaling for the matrix sign function, which has no library equivalent
-here.  All kernels are double precision and deterministic for a fixed
-input on a fixed build.
+The sign function is a Newton iteration with determinant scaling, which
+has no library equivalent here; it is double precision and deterministic
+for a fixed input on a fixed build.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import ImaginaryAxisEigenvalue, NoConvergence, SingularMatrix
+from .errors import ImaginaryAxisEigenvalue, NoConvergence
 
 #: On-disk dense matrix format: magic, uint32 rows, uint32 cols, 4 pad bytes,
 #: then row-major little-endian float64 payload.
 MATRIX_MAGIC = b"FLTC"
 _HEADER_BYTES = 16
-
-
-def lu_solve(a, b):
-    """Solve a x = b by LU with partial pivoting.
-
-    Raises SingularMatrix when the factorization hits an exactly zero
-    pivot (or LAPACK reports singularity).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(a)
-    except (ValueError, sla.LinAlgError) as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if np.any(np.diag(lu) == 0):
-        raise SingularMatrix("zero pivot in LU factorization")
-    return sla.lu_solve((lu, piv), b)
-
-
-def eigenvalues(a):
-    """All eigenvalues of a square matrix (Hessenberg + shifted QR).
-
-    The returned values satisfy sum(eigenvalues) == trace to roughly
-    1e-8 relative; failure of the underlying QR iteration raises
-    NoConvergence.
-    """
-    a = np.asarray(a)
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-
-
-def schur_real(a):
-    """Real Schur decomposition a = Q T Q^T with quasi-triangular T.
-
-    Returns (Q, T).
-    """
-    a = np.asarray(a, dtype=float)
-    try:
-        t, q = sla.schur(a, output="real")
-    except sla.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return q, t
-
-
-def sym_eigen(s):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    s = np.asarray(s, dtype=float)
-    try:
-        return np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
 
 
 def matrix_sign(h, max_iter=100, tol=1e-13):
@@ -119,11 +59,6 @@ def save_matrix(path, a):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(a.tobytes())
-
-
-def save_matrix_csv(path, a):
-    """Write a dense real matrix as plain CSV, for inspection."""
-    np.savetxt(path, np.atleast_2d(np.asarray(a, dtype=float)), delimiter=",")
 
 
 def load_matrix(path):

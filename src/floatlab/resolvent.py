@@ -15,7 +15,6 @@ taken to vanish there).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +59,6 @@ class HalfLineFunction:
         if values.shape != grid.shape:
             raise GridMismatch("values and grid must have matching shapes")
 
-    @classmethod
-    def from_callable(cls, side, grid, fn):
-        grid = np.asarray(grid, dtype=float)
-        return cls(side, grid, np.asarray([fn(x) for x in grid], dtype=complex))
-
     @property
     def boundary_abscissa(self) -> float:
         return self.grid[-1] if self.side == "left" else self.grid[0]
@@ -75,10 +69,6 @@ class HalfLineFunction:
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.trapezoid(np.abs(self.values) ** 2, self.grid)))
-
-    def write_csv(self, path):
-        data = np.column_stack([self.grid, self.values.real, self.values.imag])
-        np.savetxt(path, data, delimiter=",", header="x,re,im", comments="")
 
 
 def _require_decaying(omega):
@@ -223,34 +213,6 @@ class ResolventInput:
                     not np.allclose(right.grid, base_r.grid, rtol=0, atol=1e-12):
                 raise GridMismatch(f"{name} grid differs from the f2 grid")
 
-    @classmethod
-    def from_callables(cls, grids, f1=0.0, f2=None, f2_prime=None, f3=None,
-                       f4=0.0, f5=0.0):
-        """Sample analytic component functions on a (left, right) grid pair.
-
-        ``f2``/``f2_prime``/``f3`` are callables of x (or None for zero);
-        if ``f2_prime`` is omitted it is obtained by central differences
-        of the sampled f2 (one-sided at the ends).
-        """
-        grid_l, grid_r = (np.asarray(g, dtype=float) for g in grids)
-        zero = lambda x: 0.0
-
-        def pair(fn):
-            fn = fn or zero
-            return (HalfLineFunction.from_callable("left", grid_l, fn),
-                    HalfLineFunction.from_callable("right", grid_r, fn))
-
-        f2_pair = pair(f2)
-        f3_pair = pair(f3)
-        if f2_prime is not None:
-            f2p_pair = pair(f2_prime)
-        else:
-            f2p_pair = tuple(
-                HalfLineFunction(h.side, h.grid, np.gradient(h.values, h.grid))
-                for h in f2_pair
-            )
-        return cls(complex(f1), f2_pair, f2p_pair, f3_pair, complex(f4), complex(f5))
-
 
 @dataclass(frozen=True)
 class ResolventOutput:
@@ -261,27 +223,6 @@ class ResolventOutput:
     q_lambda: tuple[HalfLineFunction, HalfLineFunction]
     q_minus: complex
     q_plus: complex
-
-    def to_json_dict(self) -> dict:
-        def pack(pair):
-            return [{
-                "side": f.side,
-                "x": f.grid.tolist(),
-                "re": f.values.real.tolist(),
-                "im": f.values.imag.tolist(),
-            } for f in pair]
-
-        return {
-            "H_lambda": [self.H_lambda.real, self.H_lambda.imag],
-            "h_lambda": pack(self.h_lambda),
-            "q_lambda": pack(self.q_lambda),
-            "q_minus": [self.q_minus.real, self.q_minus.imag],
-            "q_plus": [self.q_plus.real, self.q_plus.imag],
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
 
 
 def resolvent_apply(lam, params: PhysicalParams, inp: ResolventInput,

@@ -17,8 +17,6 @@ can be assembled.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -73,16 +71,6 @@ class SectorTheta:
     def contains(self, lam: complex) -> bool:
         # closed sector: the bounds extend to the boundary rays by continuity
         return abs(cmath.phase(lam)) <= math.pi / 2 + self.theta
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    """One complex frequency with its derived quantities."""
-
-    lam: complex
-    excluded: bool
-    omega: complex | None = None
-    m_lambda: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -258,23 +246,6 @@ def singular_points(params, det_tol=1e-8) -> SingularSet:
     return SingularSet(tuple(roots), tuple(residuals))
 
 
-def classify_lambda(lam, params) -> SpectralSample:
-    """Bundle a frequency with omega and the boundary-trace matrix."""
-    lam = complex(lam)
-    try:
-        excluded = on_branch_cut(lam, params)
-    except DegenerateLambda:
-        return SpectralSample(lam, excluded=True)
-    if excluded:
-        return SpectralSample(lam, excluded=True)
-    return SpectralSample(
-        lam,
-        excluded=False,
-        omega=helmholtz_omega(lam, params),
-        m_lambda=boundary_system_matrix(lam, params),
-    )
-
-
 def spectrum_distance(lam, params, singular: SingularSet | None = None) -> float:
     """Euclidean distance from lambda to the spectrum set.
 
@@ -328,28 +299,6 @@ class SweepReport:
     bound: float
     value: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "bound": self.bound,
-            "value": self.value,
-            "pass": bool(self.passed),
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re_lambda", "im_lambda", "re_omega", "bound", "pass"])
-            for s in self.samples:
-                writer.writerow([
-                    s["re_lambda"], s["im_lambda"], s["re_omega"],
-                    s["bound"], s["pass"],
-                ])
 
 
 def sector_decay_bound_check(lambdas, params, sector: SectorTheta) -> SweepReport:

@@ -2,7 +2,9 @@
 
 Each suite function exercises one module's invariants on seeded random
 data and returns a plain dict (suite name, boolean verdict, numeric
-details) so the reports serialize deterministically.
+details) so the reports serialize deterministically.  Acceptance
+criteria 1-4 and 8 assert on these dicts; the bounds below are the ones
+the acceptance criteria and the CLI share, each written here only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,22 @@ from . import lqr as lqr_mod
 from . import resolvent as rv
 from . import spectral as sp
 from .errors import DegenerateLambda
-from .linalg import eigenvalues, lu_solve, matrix_sign, schur_real, sym_eigen
+from .linalg import matrix_sign
+
+#: max |M M^-1 - I| of the closed-form coupling matrix and its inverse
+COUPLING_DEFECT = 1e-13
+#: relative excess of a half-line operator norm over its bound
+HALFLINE_OVERSHOOT = 1e-3
+#: max error of the half-line particular solution against its closed form
+HALFLINE_ORACLE = 5e-4
+#: observed convergence order of the half-line solve on a manufactured source
+HALFLINE_ORDER = 1.7
+#: relative residual ||(lam I - A_h) z - F|| / ||F|| of the analytic resolvent
+RESOLVENT_DEFECT = 5e-3
+#: relative Frobenius gap between the Newton-Kleinman and sign Riccati solutions
+METHOD_GAP = 1e-6
+#: determinant residual of a reported singular point
+SINGULAR_RESIDUAL = 1e-8
 
 # ---------------------------------------------------------------------------
 # random data generators
@@ -147,7 +164,7 @@ def suite_coupling_matrix(fault=None):
             mi = mi.copy()
             mi[0, 0] *= 1.0 + 1e-6
         worst = max(worst, float(np.abs(m @ mi - np.eye(2)).max()))
-    return {"name": "coupling_matrix", "passed": worst <= 1e-13,
+    return {"name": "coupling_matrix", "passed": worst <= COUPLING_DEFECT,
             "max_identity_defect": worst}
 
 
@@ -228,7 +245,7 @@ def suite_boundary_matrix(params=sp.PhysicalParams(), seed=2):
         n_done += 1
     sing = sp.singular_points(params)
     sing_ok = len(sing) <= 4 and all(r.real <= 0 for r in sing.roots) \
-        and all(res < 1e-8 for res in sing.residuals)
+        and all(res < SINGULAR_RESIDUAL for res in sing.residuals)
     passed = worst_sym == 0.0 and worst_shift <= 1e-12 and worst_det <= 1e-10 and sing_ok
     return {"name": "boundary_matrix", "passed": bool(passed),
             "worst_symmetry": worst_sym, "worst_feedback_shift": worst_shift,
@@ -236,11 +253,13 @@ def suite_boundary_matrix(params=sp.PhysicalParams(), seed=2):
 
 
 def suite_halfline(params=sp.PhysicalParams(), n_trials=100, seed=3):
-    """Norm bounds of the half-line operators on random draws.
+    """Norm bounds, closed-form oracle and convergence order of the half-line solve.
 
     The decaying-extension bound is an equality in the continuum, so the
     check runs on a fine grid where the quadrature overshoot stays well
-    inside the 1e-3 relative slack.
+    inside the relative slack.  The closed-form oracle's trapezoid error
+    cancels structurally, so the order is measured on a manufactured
+    smooth source of the same operator, far from the truncation floor.
     """
     rng = np.random.default_rng(seed)
     a, L, h = params.a, 20.0 * params.a, 0.002
@@ -258,16 +277,28 @@ def suite_halfline(params=sp.PhysicalParams(), n_trials=100, seed=3):
         part = rv.helmholtz_particular(side, omega, phi)
         bound_r = 3.0 / (2.0 * abs(omega) * omega.real) * phi.l2_norm()
         worst_r = max(worst_r, part.l2_norm() / bound_r - 1.0)
-    # closed-form oracle at the default truncation
+    # closed-form oracle at the default truncation: e^-s -> (s/2) e^-s, s = x - a
     h0 = 0.01
     g = np.arange(a, L + h0 / 2, h0)
-    phi = rv.HalfLineFunction("right", g, np.exp(-(g - 1.0)))
+    phi = rv.HalfLineFunction("right", g, np.exp(-(g - a)))
     q = rv.helmholtz_particular("right", 1.0, phi)
-    oracle_err = float(np.abs(q.values - (math.e / 2) * (g - 1.0) * np.exp(-g)).max())
-    passed = worst_d <= 1e-3 and worst_r <= 1e-3 and oracle_err <= 5e-4
+    oracle_err = float(np.abs(q.values - 0.5 * (g - a) * np.exp(-(g - a))).max())
+    # manufactured q = s e^-s cos(2x), s = x - a, under -q'' + q
+    errs = []
+    for hm in (0.01, 0.005, 0.0025):
+        x = np.arange(a, a + 34.0 + hm / 2, hm)
+        s, e = x - a, np.exp(-(x - a))
+        u, up, upp = s * e, (1.0 - s) * e, (s - 2.0) * e
+        v, vp, vpp = np.cos(2 * x), -2 * np.sin(2 * x), -4 * np.cos(2 * x)
+        src = rv.HalfLineFunction("right", x, -(upp * v + 2 * up * vp + u * vpp) + u * v)
+        errs.append(float(np.abs(rv.helmholtz_particular("right", 1.0, src).values
+                                 - u * v).max()))
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    passed = (worst_d <= HALFLINE_OVERSHOOT and worst_r <= HALFLINE_OVERSHOOT
+              and oracle_err <= HALFLINE_ORACLE and min(orders) >= HALFLINE_ORDER)
     return {"name": "halfline_operators", "passed": bool(passed),
             "worst_extension_overshoot": worst_d, "worst_particular_overshoot": worst_r,
-            "oracle_max_error": oracle_err}
+            "oracle_max_error": oracle_err, "manufactured_orders": orders}
 
 
 def suite_resolvent(params=sp.PhysicalParams(), seed=4):
@@ -298,7 +329,7 @@ def suite_resolvent(params=sp.PhysicalParams(), seed=4):
     )
     defects = [resolvent_defect(system, lam, random_resolvent_input(grid, rng))
                for _ in range(3)]
-    passed = lin <= 1e-10 and max(defects) <= 5e-3
+    passed = lin <= 1e-10 and max(defects) <= RESOLVENT_DEFECT
     return {"name": "resolvent", "passed": bool(passed),
             "linearity_defect": lin, "max_consistency_defect": max(defects)}
 
@@ -371,9 +402,11 @@ def suite_dynamics(params=sp.PhysicalParams(), seed=5):
 
 
 def suite_lqr(params=sp.PhysicalParams(), n_side=48):
-    """Riccati solvers: scalar oracle, psd, residual, method agreement."""
+    """Riccati solvers: scalar and sign oracles, psd, residual, method agreement."""
     scalar = lqr_mod.care_solve((np.array([[-1.0]]), [1.0], [1.0]))
     scalar_err = float(abs(scalar.P[0, 0] - (math.sqrt(2.0) - 1.0)))
+    sign = matrix_sign(np.diag([-2.0, 3.0]))
+    sign_err = float(np.abs(sign - np.diag([-1.0, 1.0])).max())
 
     grid = dz.default_grid(params, n_side=n_side)
     system = dz.assemble(grid)
@@ -390,47 +423,16 @@ def suite_lqr(params=sp.PhysicalParams(), n_side=48):
     # the structural kernel modes stay at zero; everything else must decay
     n_zero = int(np.sum(np.abs(ev) <= 1e-8))
     max_re_rest = float(re_sorted[-(nk.kernel_dim + 1)])
-    passed = (scalar_err <= 1e-12
+    passed = (scalar_err <= 1e-12 and sign_err <= 1e-10
               and nk.residual <= 1e-8 * (1.0 + np.linalg.norm(nk.P, "fro") ** 2)
               and min_eig >= -1e-10 * np.linalg.norm(nk.P, 2)
-              and rel <= 1e-6 and mono >= -1e-9
+              and rel <= METHOD_GAP and mono >= -1e-9
               and n_zero == nk.kernel_dim and max_re_rest < 0)
     return {"name": "lqr", "passed": bool(passed), "scalar_error": scalar_err,
+            "sign_oracle_error": sign_err,
             "residual": float(nk.residual), "min_eig_P": min_eig,
             "method_relative_gap": rel, "newton_monotonicity": mono,
             "kernel_dim": nk.kernel_dim, "max_re_nonkernel": max_re_rest}
-
-
-def suite_linalg(seed=6):
-    """Contract checks of the dense kernels."""
-    rng = np.random.default_rng(seed)
-    hilbert = np.array([[1.0 / (i + j + 1) for j in range(4)] for i in range(4)])
-    x = lu_solve(hilbert, hilbert.sum(axis=1))
-    lu_err = float(np.abs(x - 1.0).max())
-
-    a = rng.standard_normal((10, 10))
-    ev = eigenvalues(a)
-    trace_err = abs(ev.sum() - np.trace(a)) / max(1.0, abs(np.trace(a)))
-
-    q, t = schur_real(a)
-    orth = float(np.abs(q.T @ q - np.eye(10)).max())
-    recon = float(np.abs(q @ t @ q.T - a).max())
-
-    s = rng.standard_normal((8, 8))
-    s = 0.5 * (s + s.T)
-    vals, vecs = sym_eigen(s)
-    res = float(np.abs(s @ vecs - vecs * vals).max())
-
-    sign = matrix_sign(np.diag([-2.0, 3.0]))
-    sign_err = float(np.abs(sign - np.diag([-1.0, 1.0])).max())
-
-    passed = (lu_err <= 1e-8 and trace_err <= 1e-8 and orth <= 1e-10
-              and recon <= 1e-10 and res <= 1e-9 * np.linalg.norm(s, 2)
-              and sign_err <= 1e-10)
-    return {"name": "linalg", "passed": bool(passed), "hilbert_solve_error": lu_err,
-            "trace_identity_error": float(trace_err), "schur_orthogonality": orth,
-            "schur_reconstruction": recon, "sym_eigen_residual": res,
-            "sign_oracle_error": sign_err}
 
 
 def run_all_suites(params=sp.PhysicalParams(), seed=0, fault=None):
@@ -445,5 +447,4 @@ def run_all_suites(params=sp.PhysicalParams(), seed=0, fault=None):
         suite_discretization(params),
         suite_dynamics(params, seed=seed + 5),
         suite_lqr(params),
-        suite_linalg(seed=seed + 6),
     ]

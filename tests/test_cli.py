@@ -8,9 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import floatlab
 from floatlab import cli
+from floatlab import discretization as dz
+from floatlab.errors import CompatibilityViolation
+from floatlab.spectral import PhysicalParams
 
 
 @pytest.fixture
@@ -46,7 +51,7 @@ class TestConfig:
         {"grid": {"sponge_width": 50.0}},
         {"time": {"dt": -0.1}},
         {"time": {"scheme": "leapfrog"}},
-        {"sweep": {"theta": 2.0}},
+        {"sweep": {"theta": 2.0}},  # no such section: an unknown key
         {"lqr": {"method": "shooting"}},
     ])
     def test_invalid_configs_exit_two(self, tmp_path, patch):
@@ -160,7 +165,7 @@ class TestVerifyCommand:
         assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
         report = json.loads((out1 / "verify.json").read_text())
         assert report["all_passed"] is True
-        assert len(report["suites"]) == 10
+        assert len(report["suites"]) == 9
 
     def test_fault_injection_fails(self, tmp_path, small_config, capsys):
         code = cli.main(["--config", str(small_config), "--out", str(tmp_path),
@@ -179,18 +184,60 @@ class TestResolventCheckCommand:
         assert report["worst_relative_defect"] <= 5e-3
 
 
+#: The documented preset grammar: each preset's keys.
+PRESET_KEYS = {"rest": [], "heave": ["H0", "G0"],
+               "bump": ["center", "width", "amplitude"],
+               "flow": ["center", "width", "amplitude"], "vortex": []}
+
+
+@st.composite
+def preset_spec(draw):
+    """Preset strings: real keys with numbers, and at times one bogus key or value."""
+    name = draw(st.sampled_from(sorted(PRESET_KEYS)))
+    number = st.one_of(st.sampled_from(["0", "-1", "1e-300", "1e308"]),
+                       st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    key = st.sampled_from(PRESET_KEYS[name] or ["H0"])
+    items = draw(st.lists(st.builds("{}={}".format, key, number), max_size=3))
+    if draw(st.booleans()):
+        bogus_key = st.one_of(st.sampled_from(["H0", "width", "foo"]), st.text(max_size=3))
+        bogus_value = st.one_of(st.sampled_from(["1", "nan", "inf", ""]), st.text(max_size=6))
+        items.insert(draw(st.integers(0, len(items))),
+                     draw(st.builds("{}={}".format, bogus_key, bogus_value)))
+    return ":".join([name, ",".join(items)]) if items else name
+
+
 class TestPresetGrammar:
     def test_parse_with_arguments(self):
-        from floatlab import discretization as dz
-        from floatlab.spectral import PhysicalParams
         grid = dz.default_grid(PhysicalParams(1.0, 1.0), n_side=16)
-        st = cli._parse_z0(grid, "bump:center=6,width=1.5,amplitude=0.4")
-        assert math.isclose(st.h_right.max(), 0.4, rel_tol=1e-2)
+        state = cli._parse_z0(grid, "bump:center=6,width=1.5,amplitude=0.4")
+        assert math.isclose(state.h_right.max(), 0.4, rel_tol=1e-2)
 
     def test_unknown_preset_exits_two(self, tmp_path, small_config):
         code = cli.main(["--config", str(small_config), "--out", str(tmp_path),
                         "simulate", "--z0", "vortex", "--controller", "none"])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["heave:foo=1", "bump:H0=1", "rest:H0=1", "heave:H0"])
+    def test_bad_key_or_value_exits_two(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n_side": 24}}))
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                         "simulate", "--z0", spec, "--controller", "none"])
+        assert code == 2
+        err = capsys.readouterr().err
+        name, _, item = spec.partition(":")
+        assert err.count("\n") == 1
+        assert repr(name) in err and repr(item.partition("=")[0]) in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=preset_spec())
+    def test_grammar_never_raises_anything_else(self, spec):
+        grid = dz.build_grid(PhysicalParams(1.0, 1.0), 20.0, 16)
+        try:
+            state = cli._parse_z0(grid, spec)
+        except (ValueError, CompatibilityViolation):
+            return
+        assert isinstance(state, dz.State)
 
 
 class TestImportCost:

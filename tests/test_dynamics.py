@@ -271,14 +271,6 @@ class TestCost:
         with pytest.raises(NonDecayingTail):
             dyn.cost(self.synthetic(lambda t: math.exp(0.05 * t)))
 
-    def test_report_serialization(self, tmp_path):
-        report = dyn.cost(self.synthetic(lambda t: math.exp(-t)))
-        path = tmp_path / "cost.json"
-        report.write_json(path)
-        import json
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"J", "u_part", "y_part", "horizon", "tail_estimate"}
-
 
 class TestEnergyFeedbackInequality:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

@@ -2,65 +2,7 @@ import numpy as np
 import pytest
 
 from floatlab import linalg as la
-from floatlab.errors import ImaginaryAxisEigenvalue, SingularMatrix
-
-
-class TestLuSolve:
-    def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert la.lu_solve(np.eye(3), b) == pytest.approx(b)
-
-    def test_diagonal(self):
-        x = la.lu_solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
-        assert x == pytest.approx([1.0, 2.0])
-
-    def test_hilbert_row_sums(self):
-        hilbert = np.array([[1.0 / (i + j + 1) for j in range(4)] for i in range(4)])
-        x = la.lu_solve(hilbert, hilbert.sum(axis=1))
-        assert np.abs(x - 1.0).max() <= 1e-8
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            la.lu_solve(np.zeros((2, 2)), np.ones(2))
-
-
-class TestEigenvalues:
-    def test_companion_example(self):
-        ev = np.sort_complex(la.eigenvalues(np.array([[0.0, 1.0], [-2.0, -3.0]])))
-        assert ev == pytest.approx([-2.0, -1.0])
-
-    def test_diagonal(self):
-        d = np.diag([3.0, -1.0, 0.5])
-        assert np.sort(la.eigenvalues(d).real) == pytest.approx([-1.0, 0.5, 3.0])
-
-    def test_symmetric_matrix_has_real_spectrum(self):
-        rng = np.random.default_rng(0)
-        s = rng.standard_normal((10, 10))
-        s = 0.5 * (s + s.T)
-        ev = la.eigenvalues(s)
-        assert np.abs(ev.imag).max() <= 1e-9
-        assert abs(ev.sum() - np.trace(s)) <= 1e-8 * max(1.0, abs(np.trace(s)))
-
-
-class TestSchurAndSymmetric:
-    def test_schur_factors(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((12, 12))
-        q, t = la.schur_real(a)
-        assert np.abs(q.T @ q - np.eye(12)).max() <= 1e-10
-        assert np.abs(q @ t @ q.T - a).max() <= 1e-10 * np.linalg.norm(a)
-
-    def test_schur_of_triangular_is_itself(self):
-        a = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
-        q, t = la.schur_real(a)
-        assert np.abs(np.abs(q) - np.eye(3)).max() <= 1e-12
-        assert np.sort(np.diag(t)) == pytest.approx(np.sort(np.diag(a)))
-
-    def test_sym_eigen_example(self):
-        vals, vecs = la.sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert vals == pytest.approx([1.0, 3.0])
-        s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert np.abs(s @ vecs - vecs * vals).max() <= 1e-12
+from floatlab.errors import ImaginaryAxisEigenvalue
 
 
 class TestMatrixSign:
@@ -102,9 +44,3 @@ class TestBinaryFormat:
         path.write_bytes(b"not a matrix into the void")
         with pytest.raises(ValueError):
             la.load_matrix(path)
-
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "m.csv"
-        la.save_matrix_csv(path, np.array([[1.5, -2.0], [0.25, 3.0]]))
-        back = np.loadtxt(path, delimiter=",")
-        assert back == pytest.approx(np.array([[1.5, -2.0], [0.25, 3.0]]))

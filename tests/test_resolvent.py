@@ -30,14 +30,6 @@ class TestHalfLineFunction:
         assert f.boundary_value == 3.0
         assert f.boundary_abscissa == -1.0
 
-    def test_csv_roundtrip(self, tmp_path):
-        f = rv.HalfLineFunction("right", [1.0, 2.0], [1 + 2j, 3 - 4j])
-        path = tmp_path / "f.csv"
-        f.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,re,im"
-        assert len(lines) == 3
-
 
 class TestExponentialExtension:
     def test_boundary_node_is_gamma(self):
@@ -271,23 +263,3 @@ class TestResolventApply:
         rng = np.random.default_rng(4)
         defect = vf.resolvent_defect(system, 2 + 2j, vf.random_resolvent_input(grid, rng))
         assert defect <= 5e-3
-
-    def test_from_callables_central_difference_fallback(self):
-        grid = self.grid(60)
-        inp = rv.ResolventInput.from_callables(
-            (grid.x_left, grid.x_right),
-            f2=lambda x: math.exp(-((abs(x) - 4.0) / 2.0) ** 2))
-        mid = inp.f2_prime[1].values[30]
-        g = grid.x_right
-        manual = (inp.f2[1].values[31] - inp.f2[1].values[29]) / (g[31] - g[29])
-        assert mid == pytest.approx(manual, abs=1e-12)
-
-    def test_output_json_structure(self, tmp_path):
-        grid = self.grid(60)
-        out = rv.resolvent_apply(1.0, P11, self.zero_input(grid, f1=1.0))
-        path = tmp_path / "out.json"
-        out.write_json(path)
-        import json
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"H_lambda", "h_lambda", "q_lambda", "q_minus", "q_plus"}
-        assert payload["q_lambda"][0]["side"] == "left"

@@ -275,25 +275,3 @@ class TestSectorSweeps:
         monkeypatch.setattr(sp, "boundary_system_matrix", fake_matrix)
         report = sp.sector_boundary_matrix_bound_check([200.0], P11, sector)
         assert report.samples[0].get("singular", False) or report.samples[0]["skipped"]
-
-    def test_report_serialization(self, tmp_path):
-        sector = sp.SectorTheta.with_default_radius(0.0, P11)
-        report = sp.sector_decay_bound_check([4.0, 5.0], P11, sector)
-        payload = report.to_json_dict()
-        assert set(payload) == {"samples", "bound", "value", "pass"}
-        csv_path = tmp_path / "sweep.csv"
-        report.write_csv(csv_path)
-        header = csv_path.read_text().splitlines()[0]
-        assert header == "re_lambda,im_lambda,re_omega,bound,pass"
-
-
-class TestClassify:
-    def test_excluded_sample_has_no_omega(self):
-        sample = sp.classify_lambda(-2.0, P11)
-        assert sample.excluded and sample.omega is None
-
-    def test_regular_sample_carries_derived_data(self):
-        sample = sp.classify_lambda(2.0 + 1.0j, P11)
-        assert not sample.excluded
-        assert sample.omega.real > 0
-        assert sample.m_lambda.shape == (2, 2)
