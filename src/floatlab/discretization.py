@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sps
 
 from .errors import CompatibilityViolation, InvalidGeometry
 from .spectral import PhysicalParams, coupling_matrix
@@ -195,20 +196,32 @@ class SemiDiscreteSystem:
         return self.A.shape[0]
 
 
-def _node_slots(lay: StateLayout):
-    """State index of every node, per side; None marks a pinned outer flux node."""
-    at = range(lay.dim)
-    return (list(at[lay.h_left]), list(at[lay.h_right]),
-            [None, *at[lay.q_left], lay.q_minus], [lay.q_plus, *at[lay.q_right], None])
+def _nodal_operators(grid):
+    """The nodal operators that the generator and the quadratic forms share.
 
+    Returns ``(sides, stencil, trapezoid, C)``:
 
-def _first_derivative_coeffs(n, i):
-    """Stencil (index, weight) pairs for d/dx at node i, in units of 1/(2*spacing)."""
-    if i == 0:
-        return [(0, -3.0), (1, 4.0), (2, -1.0)]
-    if i == n - 1:
-        return [(n - 1, 3.0), (n - 2, -4.0), (n - 3, 1.0)]
-    return [(i - 1, -1.0), (i + 1, 1.0)]
+    - ``sides``: for the left and then the right side, the state slots of
+      the n surface-height nodes and of the n flux nodes, -1 marking the
+      pinned outer flux node at +-L;
+    - ``stencil``: ``(rows, cols, weights)`` of d/dx on n nodes in units of
+      1/(2*spacing), central inside and second-order one-sided at both ends;
+    - ``trapezoid``: the quadrature weights of the n nodes;
+    - ``C``: the output row, Hdot = C z = -(q+ - q-)/(2a).
+    """
+    lay, n = grid.layout, grid.n_side
+    at = np.arange(lay.dim)
+    sides = ((at[lay.h_left], np.r_[-1, at[lay.q_left], lay.q_minus]),
+             (at[lay.h_right], np.r_[lay.q_plus, at[lay.q_right], -1]))
+    i = np.arange(1, n - 1)
+    rows = np.r_[0, 0, 0, i, i, n - 1, n - 1, n - 1]
+    cols = np.r_[0, 1, 2, i - 1, i + 1, n - 1, n - 2, n - 3]
+    weights = np.r_[-3.0, 4.0, -1.0, np.full(n - 2, -1.0), np.ones(n - 2), 3.0, -4.0, 1.0]
+    trapezoid = np.full(n, grid.spacing)
+    trapezoid[[0, -1]] = grid.spacing / 2.0
+    C = np.zeros(lay.dim)
+    C[[lay.q_minus, lay.q_plus]] = np.array([1.0, -1.0]) / (2.0 * grid.params.a)
+    return sides, (rows, cols, weights), trapezoid, C
 
 
 def assemble(grid: Grid) -> SemiDiscreteSystem:
@@ -224,80 +237,48 @@ def assemble(grid: Grid) -> SemiDiscreteSystem:
     n = grid.n_side
     dx = grid.spacing
     lay = grid.layout
-    h_left, h_right, q_left, q_right = _node_slots(lay)
-    qm, qp = lay.q_minus, lay.q_plus
+    sides, (rows, cols, weights), _, C = _nodal_operators(grid)
+    inner = (rows > 0) & (rows < n - 1)
+    i = np.arange(1, n - 1)
+    triplets = []
+    for (h, q), xs in zip(sides, (grid.x_left, grid.x_right)):
+        # surface height: hdot = -dq/dx on every node
+        triplets.append((h[rows], q[cols], -weights / (2.0 * dx)))
+        # flux: qdot = -dh/dx + mu*q'' - sigma*q at interior exterior nodes
+        triplets.append((q[rows[inner]], h[cols[inner]], -weights[inner] / (2.0 * dx)))
+        laplacian = np.column_stack([np.full(n - 2, mu / dx**2),
+                                     -2.0 * mu / dx**2 - grid.sponge(xs)[i],
+                                     np.full(n - 2, mu / dx**2)])
+        triplets.append((np.repeat(q[i], 3), np.column_stack([q[i - 1], q[i], q[i + 1]]),
+                         laplacian))
+    r, c, v = (np.concatenate([np.ravel(x) for x in part]) for part in zip(*triplets))
+    kept = c >= 0
     A = np.zeros((lay.dim, lay.dim))
-
-    def add(row, col, val):
-        if col is not None:
-            row[col] += val
-
-    # solid height: Hdot = -(q+ - q-)/(2a)
-    add(A[lay.H], qp, -1.0 / (2.0 * a))
-    add(A[lay.H], qm, +1.0 / (2.0 * a))
-
-    # surface height: hdot = -dq/dx on every node of both sides
-    for q_of, h_of in ((q_left, h_left), (q_right, h_right)):
-        for i in range(n):
-            for j, w in _first_derivative_coeffs(n, i):
-                add(A[h_of[i]], q_of[j], -w / (2.0 * dx))
-
-    # flux: qdot = -dh/dx + mu*q'' - sigma*q at interior exterior nodes
-    for q_of, h_of, xs in ((q_left, h_left, grid.x_left),
-                           (q_right, h_right, grid.x_right)):
-        sig = grid.sponge(xs)
-        for i in range(1, n - 1):
-            row = A[q_of[i]]
-            add(row, h_of[i + 1], -1.0 / (2.0 * dx))
-            add(row, h_of[i - 1], +1.0 / (2.0 * dx))
-            add(row, q_of[i - 1], mu / dx**2)
-            add(row, q_of[i], -2.0 * mu / dx**2)
-            add(row, q_of[i + 1], mu / dx**2)
-            add(row, q_of[i], -sig[i])
+    A[r[kept], c[kept]] = v[kept]  # each (row, col) occurs once, so assigning scatters
+    A[lay.H] = C
 
     # boundary fluxes: [qdot-, qdot+] = 4a^2 M [b1, b2] with
     # b1 =  mu*(q+ - q-)/(2a) + (h(-a) - H) - mu*dq/dx(-a-)
     # b2 = -mu*(q+ - q-)/(2a) - (h(a) - H) + mu*dq/dx(a+)
-    b1 = np.zeros(lay.dim)
-    b2 = np.zeros(lay.dim)
-
-    add(b1, qp, mu / (2.0 * a))
-    add(b1, qm, -mu / (2.0 * a))
-    add(b1, h_left[n - 1], 1.0)
-    add(b1, lay.H, -1.0)
-    for j, w in _first_derivative_coeffs(n, n - 1):
-        add(b1, q_left[j], -mu * w / (2.0 * dx))
-
-    add(b2, qp, -mu / (2.0 * a))
-    add(b2, qm, +mu / (2.0 * a))
-    add(b2, h_right[0], -1.0)
-    add(b2, lay.H, +1.0)
-    for j, w in _first_derivative_coeffs(n, 0):
-        add(b2, q_right[j], +mu * w / (2.0 * dx))
+    # b2 is b1 written at the right trace with every sign flipped
+    b = []
+    for sign, (h, q), node in ((1.0, sides[0], n - 1), (-1.0, sides[1], 0)):
+        row = -mu * C
+        row[h[node]] += 1.0
+        row[lay.H] -= 1.0
+        at = rows == node
+        row[q[cols[at]]] -= mu * weights[at] / (2.0 * dx)
+        b.append(sign * row)
 
     m = coupling_matrix(p)
-    A[qm, :] = 4.0 * a * a * (m[0, 0] * b1 + m[0, 1] * b2)
-    A[qp, :] = 4.0 * a * a * (m[1, 0] * b1 + m[1, 1] * b2)
+    A[lay.q_minus] = 4.0 * a * a * (m[0, 0] * b[0] + m[0, 1] * b[1])
+    A[lay.q_plus] = 4.0 * a * a * (m[1, 0] * b[0] + m[1, 1] * b[1])
 
     B = np.zeros(lay.dim)
     bm = 2.0 * a * (m @ np.array([1.0, -1.0]))
-    B[qm] = bm[0]
-    B[qp] = bm[1]
-
-    C = np.zeros(lay.dim)
-    C[qp] = -1.0 / (2.0 * a)
-    C[qm] = +1.0 / (2.0 * a)
+    B[lay.q_minus] = bm[0]
+    B[lay.q_plus] = bm[1]
     return SemiDiscreteSystem(A, B, C, grid)
-
-
-def dqdx_nodal(values, spacing):
-    """d/dx of a full nodal side array: central interior, one-sided ends."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * spacing)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * spacing)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * spacing)
-    return out
 
 
 def initial_state(grid, H0, G0, h0, q0) -> State:
@@ -397,29 +378,55 @@ def energy(state: State, grid: Grid) -> float:
     return float(ext + interior + 0.5 * hdot**2)
 
 
-def energy_matrix(grid: Grid) -> np.ndarray:
-    """Symmetric psd matrix W with energy(z) = 0.5 * z^T W z."""
-    n = grid.n_side
-    dx = grid.spacing
+def quadratic_forms(grid: Grid):
+    """Sparse symmetric forms (W, G, S) of the discrete energy identity.
+
+    Built from the stencil and quadrature that :func:`assemble` uses:
+
+    - ``0.5 * z^T W z`` is the energy (see :func:`energy`);
+    - ``z^T G z`` is ||dq/dx||^2: the trapezoid rule of the squared stencil
+      derivative on both sides plus 2a*Hdot^2 under the solid, where the
+      slope is -Hdot;
+    - ``z^T S z`` is the sponge sink, the trapezoid rule of sigma*q^2.
+
+    Along a trajectory dE/dt = -mu * z^T G z + u * C z - z^T S z.
+    """
     a = grid.params.a
     lay = grid.layout
-    W = np.zeros((lay.dim, lay.dim))
-    w_trapz = np.full(n, dx)
-    w_trapz[0] = w_trapz[-1] = dx / 2.0
-    for nodes in _node_slots(lay):
-        for col, w in zip(nodes, w_trapz):
-            if col is not None:
-                W[col, col] += w
-    # interior closed forms: 2a*H^2, 2a*mean_q^2, (2a^3/3 + 1)*hdot^2
-    W[lay.H, lay.H] += 2.0 * a
-    mean_vec = np.zeros(lay.dim)
-    mean_vec[[lay.q_plus, lay.q_minus]] = 0.5
-    W += 2.0 * a * np.outer(mean_vec, mean_vec)
-    hdot_vec = np.zeros(lay.dim)
-    hdot_vec[lay.q_plus] = -1.0 / (2.0 * a)
-    hdot_vec[lay.q_minus] = +1.0 / (2.0 * a)
-    W += (2.0 * a**3 / 3.0 + 1.0) * np.outer(hdot_vec, hdot_vec)
-    return W
+    sides, (rows, cols, weights), trapezoid, C = _nodal_operators(grid)
+    shape = (lay.dim, lay.dim)
+
+    def diagonal(slots, values):
+        kept = slots >= 0
+        return sps.coo_array((values[kept], (slots[kept], slots[kept])), shape=shape)
+
+    def outer(v):
+        v = sps.csr_array(v[None, :])
+        return v.T @ v
+
+    heights, fluxes = (np.concatenate(slots) for slots in zip(*sides))
+    mean = np.zeros(lay.dim)
+    mean[[lay.q_minus, lay.q_plus]] = 0.5
+    # exterior trapezoid of h^2 + q^2; interior closed forms 2a*H^2,
+    # 2a*mean_q^2 and (2a^3/3 + 1)*Hdot^2
+    W = (diagonal(np.r_[heights, fluxes, lay.H], np.r_[np.tile(trapezoid, 4), 2.0 * a])
+         + 2.0 * a * outer(mean) + (2.0 * a**3 / 3.0 + 1.0) * outer(C))
+
+    G = 2.0 * a * outer(C)
+    for _, q in sides:
+        kept = q[cols] >= 0
+        slope = sps.csr_array((weights[kept] / (2.0 * grid.spacing),
+                               (rows[kept], q[cols[kept]])), shape=(grid.n_side, lay.dim))
+        weighted = sps.diags_array(np.sqrt(trapezoid)) @ slope  # M^T M is exactly symmetric
+        G = G + weighted.T @ weighted
+
+    sink = np.concatenate([trapezoid * grid.sponge(xs) for xs in (grid.x_left, grid.x_right)])
+    return W.tocsr(), G.tocsr(), diagonal(fluxes, sink).tocsr()
+
+
+def energy_matrix(grid: Grid) -> np.ndarray:
+    """Symmetric psd matrix W with energy(z) = 0.5 * z^T W z, dense."""
+    return quadratic_forms(grid)[0].toarray()
 
 
 @dataclass(frozen=True)
@@ -454,15 +461,20 @@ def reconstruct_pressure(state: State, state_derivative: State, u, grid):
     qdot_minus = state_derivative.q_minus
     qdot_plus = state_derivative.q_plus
 
+    _, (rows, cols, weights), _, _ = _nodal_operators(grid)
+
+    def slope(q, node):
+        """d/dx at one node: that node's row of the stencil."""
+        at = rows == node
+        return weights[at] @ q[cols[at]] / (2.0 * grid.spacing)
+
     c2 = 0.5 * hddot
     c1 = -0.5 * (qdot_plus + qdot_minus)
-    dq_left = dqdx_nodal(state.q_left, grid.spacing)
-    dq_right = dqdx_nodal(state.q_right, grid.spacing)
-    p_left = state.h_left[-1] - mu * dq_left[-1] - state.H - mu * hdot
+    p_left = state.h_left[-1] - mu * slope(state.q_left, grid.n_side - 1) - state.H - mu * hdot
     c0 = p_left - c2 * a * a + c1 * a
     profile = PressureProfile(float(c0), float(c1), float(c2))
 
-    p_right_target = state.h_right[0] - mu * dq_right[0] - state.H - mu * hdot
+    p_right_target = state.h_right[0] - mu * slope(state.q_right, 0) - state.H - mu * hdot
     defects = {
         "right_jump": float(abs(profile(a) - p_right_target)),
         "newton": float(abs(hddot - (profile.integral(a) + u))),

@@ -22,12 +22,12 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
-from .discretization import SemiDiscreteSystem, State, dqdx_nodal, energy_matrix
+from .discretization import SemiDiscreteSystem, State, quadratic_forms
 from .errors import NonDecayingTail, SingularSystem
 
 _SCHEMES = ("trapezoidal", "implicit_euler")
-#: Rows per block of the energy quadratic form: bounds its temporaries.
-_ENERGY_BLOCK = 1024
+#: Rows per block of a quadratic form over the history: bounds its temporaries.
+_FORM_BLOCK = 1024
 
 
 class Stepper:
@@ -74,9 +74,6 @@ class Trajectory:
         """Hdot = C z along the trajectory."""
         return self.states @ self.system.C
 
-    def state_at(self, k) -> State:
-        return State.unflatten(self.states[k], self.system.grid)
-
     def write_csv(self, path):
         lay = self.system.grid.layout
         data = np.column_stack([
@@ -116,14 +113,19 @@ def _march(stepper, states, inputs, start, stop, gain):
         inputs[k] = u_next
 
 
-def _energies(states, grid):
-    """0.5 * z^T W z per row, one block of rows at a time."""
-    w = sps.csr_array(energy_matrix(grid))
-    out = np.empty(states.shape[0])
-    for i in range(0, states.shape[0], _ENERGY_BLOCK):
-        block = states[i:i + _ENERGY_BLOCK]
-        out[i:i + _ENERGY_BLOCK] = 0.5 * np.einsum("ti,ti->t", block @ w, block)
+def _row_forms(states, *forms):
+    """z^T M z for every row z of ``states`` and each sparse form M, by row blocks."""
+    out = np.empty((len(forms), states.shape[0]))
+    for i in range(0, states.shape[0], _FORM_BLOCK):
+        block = states[i:i + _FORM_BLOCK]
+        for values, form in zip(out, forms):
+            values[i:i + _FORM_BLOCK] = np.einsum("ti,ti->t", block @ form, block)
     return out
+
+
+def _energies(states, grid):
+    """0.5 * z^T W z per row."""
+    return 0.5 * _row_forms(states, quadratic_forms(grid)[0])[0]
 
 
 def _start(system, z0, n_steps, gain):
@@ -222,29 +224,6 @@ class EnergyBalanceReport:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
 
 
-def _dissipation_terms(trajectory):
-    """Per-sample (-mu*||dq/dx||^2 + u*Hdot, sponge sink) along a trajectory."""
-    system = trajectory.system
-    grid = system.grid
-    mu = grid.params.mu
-    a = grid.params.a
-    xl, xr = grid.x_left, grid.x_right
-    sig_l, sig_r = grid.sponge(xl), grid.sponge(xr)
-    hdots = trajectory.outputs()
-    n_samples = trajectory.states.shape[0]
-    rate = np.empty(n_samples)
-    sink = np.empty(n_samples)
-    for k in range(n_samples):
-        st = trajectory.state_at(k)
-        gradsq = np.trapezoid(dqdx_nodal(st.q_left, grid.spacing) ** 2, xl) \
-            + np.trapezoid(dqdx_nodal(st.q_right, grid.spacing) ** 2, xr) \
-            + 2.0 * a * hdots[k] ** 2  # interior slope is -Hdot
-        sink[k] = np.trapezoid(sig_l * st.q_left ** 2, xl) \
-            + np.trapezoid(sig_r * st.q_right ** 2, xr)
-        rate[k] = -mu * gradsq + trajectory.inputs[k] * hdots[k]
-    return rate, sink
-
-
 def energy_balance_report(trajectory: Trajectory) -> EnergyBalanceReport:
     """Compare energy difference quotients against the dissipation identity.
 
@@ -255,7 +234,10 @@ def energy_balance_report(trajectory: Trajectory) -> EnergyBalanceReport:
     """
     dt = np.diff(trajectory.times)
     lhs = np.diff(trajectory.energies) / dt
-    rate, sink = _dissipation_terms(trajectory)
+    grid = trajectory.system.grid
+    _, gradient, sponge = quadratic_forms(grid)
+    gradsq, sink = _row_forms(trajectory.states, gradient, sponge)
+    rate = -grid.params.mu * gradsq + trajectory.inputs * trajectory.outputs()
     rhs = 0.5 * (rate[:-1] + rate[1:]) - 0.5 * (sink[:-1] + sink[1:])
     times_mid = 0.5 * (trajectory.times[:-1] + trajectory.times[1:])
     sink_mid = 0.5 * (sink[:-1] + sink[1:])

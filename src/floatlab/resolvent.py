@@ -6,11 +6,11 @@ On each exterior side of the solid the resolvent equation collapses to
 
 whose solution splits into a pure exponential carrying the boundary
 value and a particular part given by three exponential-kernel integrals.
-Everything here is evaluated on a truncated grid [a, L] (mirrored on the
-left) by composite trapezoid quadrature; the kernels are kept in scaled
-form exp(omega*(xi - x)) with nonpositive exponent so that no
-intermediate overflows, and the tail beyond L is dropped (the source is
-taken to vanish there).
+Everything here is evaluated on a truncated uniform grid [a, L]
+(mirrored on the left) by composite trapezoid quadrature; the kernels
+are kept in scaled form exp(omega*(xi - x)) with nonpositive exponent so
+that no intermediate overflows, and the tail beyond L is dropped (the
+source is taken to vanish there).
 """
 
 from __future__ import annotations
@@ -85,38 +85,30 @@ def _reflected(phi: HalfLineFunction) -> HalfLineFunction:
 
 
 def _scaled_cumulatives(omega, grid, values):
-    """Trapezoid cumulants of the two exponential kernels on a right grid.
+    """Trapezoid cumulants of the two exponential kernels on a uniform right grid.
 
     Returns (A, B) with
         A[j] = int_{x0}^{xj} exp(omega*(xi - xj)) * phi(xi) dxi,
         B[j] = int_{xj}^{xN} exp(-omega*(xi - xj)) * phi(xi) dxi,
-    both with every kernel exponent <= 0.
+    both with every kernel exponent <= 0.  Each is a first-order
+    recurrence with the constant factor exp(-omega*h), run as a filter.
     """
     steps = np.diff(grid)
-    n = grid.size
     # uniform up to the rounding of the abscissae themselves
-    if np.allclose(steps, steps[0], rtol=0, atol=4 * np.finfo(float).eps * np.abs(grid).max()):
-        from scipy.signal import lfilter  # deferred: importing scipy.signal costs about 1 s
+    if not np.allclose(steps, steps[0], rtol=0, atol=4 * np.finfo(float).eps * np.abs(grid).max()):
+        raise GridMismatch(f"half-line quadrature needs a uniform grid; steps span "
+                           f"[{steps.min():.6g}, {steps.max():.6g}]")
+    from scipy.signal import lfilter  # deferred: importing scipy.signal costs about 1 s
 
-        d = np.exp(-omega * steps[0])
-        half = 0.5 * steps[0]
-        g = np.empty(n, dtype=complex)
-        g[0] = 0.0
-        g[1:] = half * (d * values[:-1] + values[1:])
-        fwd = lfilter([1.0], [1.0, -d], g)
-        rev_vals = values[::-1]
-        g[1:] = half * (rev_vals[1:] + d * rev_vals[:-1])
-        bwd = lfilter([1.0], [1.0, -d], g)[::-1]
-        return fwd, bwd
-    # nonuniform fallback, plain recurrences
-    fwd = np.zeros(n, dtype=complex)
-    for j in range(1, n):
-        d = np.exp(-omega * steps[j - 1])
-        fwd[j] = d * fwd[j - 1] + 0.5 * steps[j - 1] * (d * values[j - 1] + values[j])
-    bwd = np.zeros(n, dtype=complex)
-    for j in range(n - 2, -1, -1):
-        d = np.exp(-omega * steps[j])
-        bwd[j] = d * bwd[j + 1] + 0.5 * steps[j] * (values[j] + d * values[j + 1])
+    d = np.exp(-omega * steps[0])
+    half = 0.5 * steps[0]
+    g = np.empty(grid.size, dtype=complex)
+    g[0] = 0.0
+    g[1:] = half * (d * values[:-1] + values[1:])
+    fwd = lfilter([1.0], [1.0, -d], g)
+    rev_vals = values[::-1]
+    g[1:] = half * (rev_vals[1:] + d * rev_vals[:-1])
+    bwd = lfilter([1.0], [1.0, -d], g)[::-1]
     return fwd, bwd
 
 
@@ -145,8 +137,9 @@ def helmholtz_particular(side, omega, phi: HalfLineFunction) -> HalfLineFunction
     """Particular solution of -q'' + omega^2 q = phi with zero boundary value.
 
     Evaluates the three exponential-kernel integrals by composite
-    trapezoid quadrature on the grid of ``phi``; the result vanishes at
-    the solid boundary and decays toward the truncation end.
+    trapezoid quadrature on the grid of ``phi``, which must be uniform
+    (GridMismatch otherwise); the result vanishes at the solid boundary
+    and decays toward the truncation end.
     """
     omega = _require_decaying(omega)
     if phi.side != side:

@@ -206,6 +206,54 @@ class TestEnergy:
             assert 0.5 * z @ w @ z == pytest.approx(direct, rel=1e-12)
 
 
+def random_states(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    return [dz.State.unflatten(z, grid) for z in rng.standard_normal((count, grid.state_dim))]
+
+
+def sides(grid, state):
+    return ((grid.x_left, state.h_left, state.q_left),
+            (grid.x_right, state.h_right, state.q_right))
+
+
+class TestQuadraticForms:
+    @pytest.mark.parametrize("sponge", [True, False])
+    @pytest.mark.parametrize("n,a", [(16, 1.0), (64, 1.0), (64, 0.5)])
+    def test_forms_match_direct_quadrature(self, n, a, sponge):
+        # np.gradient with edge_order=2 is the same stencil, written independently
+        grid = dz.default_grid(PhysicalParams(a, 1.0), n_side=n,
+                               sponge_strength=1.0 if sponge else 0.0)
+        _, gradient, sink = dz.quadratic_forms(grid)
+        for state in random_states(grid, 5, seed=n):
+            z = state.flatten(grid)
+            gradsq = sum(np.trapezoid(np.gradient(q, grid.spacing, edge_order=2) ** 2, x)
+                         for x, _, q in sides(grid, state)) \
+                + 2.0 * grid.params.a * state.hdot(grid) ** 2
+            sponge_sink = sum(np.trapezoid(grid.sponge(x) * q ** 2, x)
+                              for x, _, q in sides(grid, state))
+            assert z @ gradient @ z == pytest.approx(gradsq, rel=1e-12)
+            assert z @ sink @ z == pytest.approx(sponge_sink, rel=1e-12, abs=0.0)
+
+    def test_forms_are_symmetric_psd(self):
+        grid = dz.default_grid(P11, n_side=24)
+        for form in dz.quadratic_forms(grid):
+            dense = form.toarray()
+            assert np.abs(dense - dense.T).max() == 0.0
+            assert np.linalg.eigvalsh(dense).min() >= -1e-12 * np.abs(dense).max()
+
+    def test_generator_rows_apply_the_same_stencil(self):
+        grid = dz.default_grid(P11, n_side=24)
+        system = dz.assemble(grid)
+        mu, dx = grid.params.mu, grid.spacing
+        for state in random_states(grid, 3, seed=1):
+            rate = dz.State.unflatten(system.A @ state.flatten(grid), grid)
+            for (x, h, q), (_, hdot, qdot) in zip(sides(grid, state), sides(grid, rate)):
+                assert hdot == pytest.approx(-np.gradient(q, dx, edge_order=2), abs=1e-12)
+                inner = (-np.gradient(h, dx)[1:-1] + mu * np.diff(q, 2) / dx**2
+                         - grid.sponge(x)[1:-1] * q[1:-1])
+                assert qdot[1:-1] == pytest.approx(inner, abs=1e-11)
+
+
 class TestPressureReconstruction:
     def apply_generator(self, system, state, u):
         grid = system.grid

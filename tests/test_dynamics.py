@@ -202,6 +202,25 @@ class TestSimulate:
         assert g[-1] <= 1e-6 * g.max()
 
 
+def per_sample_audit(trajectory):
+    """(-mu*||dq/dx||^2 + u*Hdot, sponge sink) per sample, one state at a time."""
+    grid = trajectory.system.grid
+    a, mu, dx = grid.params.a, grid.params.mu, grid.spacing
+    xl, xr = grid.x_left, grid.x_right
+    sig_l, sig_r = grid.sponge(xl), grid.sponge(xr)
+    rate, sink = [], []
+    for z, u in zip(trajectory.states, trajectory.inputs):
+        st = dz.State.unflatten(z, grid)
+        hdot = st.hdot(grid)
+        gradsq = np.trapezoid(np.gradient(st.q_left, dx, edge_order=2) ** 2, xl) \
+            + np.trapezoid(np.gradient(st.q_right, dx, edge_order=2) ** 2, xr) \
+            + 2.0 * a * hdot ** 2  # interior slope is -Hdot
+        sink.append(np.trapezoid(sig_l * st.q_left ** 2, xl)
+                    + np.trapezoid(sig_r * st.q_right ** 2, xr))
+        rate.append(-mu * gradsq + u * hdot)
+    return np.array(rate), np.array(sink)
+
+
 class TestEnergyBalance:
     def test_zero_trajectory(self):
         system = small_system()
@@ -235,6 +254,20 @@ class TestEnergyBalance:
         report = dyn.energy_balance_report(traj)
         assert report.sponge_sink.max() > 0.0
         assert report.to_json_dict()["max_sponge_sink"] > 0.0
+
+    def test_report_matches_per_sample_loop(self):
+        system = small_system(64)
+        traj = dyn.simulate(system, dz.bump_state(system.grid, center=12.0),
+                            T=4.0, dt=0.02, gain=0.5 * system.C)
+        report = dyn.energy_balance_report(traj)
+        rate, sink = per_sample_audit(traj)
+        rhs = 0.5 * (rate[:-1] + rate[1:]) - 0.5 * (sink[:-1] + sink[1:])
+        sink_mid = 0.5 * (sink[:-1] + sink[1:])
+        assert np.abs(report.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+        assert np.abs(report.sponge_sink - sink_mid).max() <= 1e-12 * sink_mid.max()
+        assert sink_mid.max() > 0.0
+        max_defect = np.abs(report.lhs - rhs).max()
+        assert report.max_defect == pytest.approx(max_defect, rel=1e-12)
 
 
 class TestCost:

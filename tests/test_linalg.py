@@ -23,6 +23,19 @@ class TestMatrixSign:
         with pytest.raises(ImaginaryAxisEigenvalue):
             la.matrix_sign(rotation)
 
+    @pytest.mark.parametrize("singular", [np.zeros((3, 3)), np.diag([1.0, 0.0])])
+    def test_singular_input_rejected(self, singular):
+        with pytest.raises(ImaginaryAxisEigenvalue):
+            la.matrix_sign(singular)
+
+    def test_matches_eigendecomposition(self):
+        rng = np.random.default_rng(5)
+        vecs = rng.standard_normal((40, 40)) + 4.0 * np.eye(40)
+        vals = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.1, 10.0, 40)
+        a = vecs @ np.diag(vals) @ np.linalg.inv(vecs)
+        expected = vecs @ np.diag(np.sign(vals)) @ np.linalg.inv(vecs)
+        assert np.abs(la.matrix_sign(a) - expected).max() <= 1e-9 * np.abs(expected).max()
+
 
 class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):

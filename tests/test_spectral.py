@@ -202,6 +202,19 @@ class TestSingularPoints:
             det = abs(np.linalg.det(sp.boundary_system_matrix(complex(r), P11)))
             assert det > 1.0
 
+    def test_verification_rechecks_reported_roots(self, monkeypatch):
+        # a frequency off the determinant's zero set, reported with a tiny
+        # residual, must fail the suite however small that residual is
+        from floatlab import verification as vf
+
+        lam = next(complex(r) for r in np.roots(sp.singular_quartic_coefficients(P11))
+                   if r.real < 0)
+        monkeypatch.setattr(sp, "singular_points",
+                            lambda params: sp.SingularSet((lam,), (1e-12,)))
+        report = vf.suite_boundary_matrix(P11)
+        assert not report["passed"]
+        assert report["worst_singular_residual"] > vf.SINGULAR_RESIDUAL
+
 
 class TestSpectrumDistance:
     def test_origin_is_in_the_set(self):
