@@ -90,10 +90,10 @@ def validate_config(cfg):
         raise ValueError("grid.sponge_width must lie in [0, L - a)")
     if t["dt"] <= 0 or t["T_max"] <= 0:
         raise ValueError("time.dt and time.T_max must be positive")
-    if t["scheme"] not in ("trapezoidal", "implicit_euler"):
-        raise ValueError("time.scheme must be trapezoidal or implicit_euler")
-    if cfg["lqr"]["method"] not in ("newton_kleinman", "hamiltonian_sign"):
-        raise ValueError("lqr.method must be newton_kleinman or hamiltonian_sign")
+    if t["scheme"] not in dyn.SCHEMES:
+        raise ValueError(f"time.scheme must be one of {', '.join(dyn.SCHEMES)}")
+    if cfg["lqr"]["method"] not in lqr_mod.METHODS:
+        raise ValueError(f"lqr.method must be one of {', '.join(lqr_mod.METHODS)}")
 
 
 def _build(cfg, sponge=True):

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 from .discretization import SemiDiscreteSystem, State, quadratic_forms
 from .errors import NonDecayingTail, SingularSystem
 
-_SCHEMES = ("trapezoidal", "implicit_euler")
+SCHEMES = ("trapezoidal", "implicit_euler")
 #: Rows per block of a quadratic form over the history: bounds its temporaries.
 _FORM_BLOCK = 1024
 
@@ -36,8 +36,8 @@ class Stepper:
     def __init__(self, system: SemiDiscreteSystem, dt, scheme="trapezoidal"):
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
         self.system = system
         self.dt = float(dt)
         self.scheme = scheme

@@ -2,13 +2,15 @@
 
 The semi-discrete generator has a small structural kernel (the conserved
 rest mode plus the collocated-stencil comb modes); those directions are
-invisible to both the input column and the output row, so the Riccati
-problem is solved on the complementary invariant subspace, where the
-closed loop under the energy feedback is strictly Hurwitz, and lifted
-back.  The lifted solution satisfies the full-dimension Riccati equation
-and annihilates the kernel directions, which is exactly the minimal
-nonnegative solution: trajectories that never produce output cost
-nothing.
+invisible to both the input column and the output row.  With Z an
+orthonormal basis of the kernel, the Riccati equation is solved on the
+shifted generator A - Z Z^T, which keeps the rest of A's spectrum and
+moves the kernel eigenvalues to -1 (Brauer's deflation), so the closed
+loop under the energy feedback is strictly Hurwitz.  The shifted cost of
+any state in span Z is zero, so the solution annihilates the kernel, and
+then it also satisfies the original equation: it is the minimal
+nonnegative solution, under which trajectories that never produce output
+cost nothing.
 
 Two independent solvers are provided and cross-checked: Newton-Kleinman
 (a sequence of Lyapunov equations from a stabilizing gain) and the
@@ -30,6 +32,7 @@ from .errors import NoConvergence, SingularMatrix, UnstableClosedLoop
 from .linalg import matrix_sign
 
 _KERNEL_RCOND = 1e-10
+METHODS = ("newton_kleinman", "hamiltonian_sign")
 
 
 def lyapunov_solve(acl, q):
@@ -80,38 +83,26 @@ def _as_matrices(system):
 
 
 def deflate_zero_modes(a, b, c, rcond=_KERNEL_RCOND):
-    """Split off the kernel of the generator, returning the reduced triple.
+    """Move the kernel of the generator to -1, returning (shifted, k).
 
-    Returns (ar, br, cr, basis, projector) where ``basis`` has
-    orthonormal columns spanning the invariant complement of the kernel
-    and ``projector`` is the oblique projection onto it along the
-    kernel.  Requires the kernel to be invisible to input and output
-    (it is, structurally, for the discretized model); anything else is
-    reported as UnstableClosedLoop since no stabilizing solution can
-    exist then.
+    One SVD cuts the k singular values at or below ``rcond`` times the
+    largest; the matching singular vectors span the left kernel W and the
+    orthonormal right kernel Z, and the shifted generator is a - Z Z^T.
+    Requires the kernel to be invisible to input and output (it is,
+    structurally, for the discretized model); anything else is reported
+    as UnstableClosedLoop since no stabilizing solution can exist then.
     """
-    n = a.shape[0]
-    w = sla.null_space(a.T, rcond=rcond)
-    z = sla.null_space(a, rcond=rcond)
-    k = w.shape[1]
+    u, s, vt = sla.svd(a)
+    k = int(np.sum(s <= rcond * s[0]))
     if k == 0:
-        return a, b, c, np.eye(n), np.eye(n)
-    if z.shape[1] != k:
-        raise UnstableClosedLoop("generator kernel is defective; cannot deflate")
+        return a, 0
+    w, z = u[:, -k:], vt[-k:].T
     scale_b = np.linalg.norm(b) or 1.0
     scale_c = np.linalg.norm(c) or 1.0
     if np.abs(w.T @ b).max() > 1e-8 * scale_b or np.abs(c @ z).max() > 1e-8 * scale_c:
         raise UnstableClosedLoop(
             "zero modes are coupled to the input or output; no stabilizing solution")
-    basis = sla.qr(w, mode="full")[0][:, k:]  # orthonormal basis of {w^T x = 0}
-    projector = np.eye(n) - z @ np.linalg.solve(w.T @ z, w.T)
-    return basis.T @ a @ basis, basis.T @ b, c @ basis, basis, projector
-
-
-def _lift(p_red, basis, projector):
-    vp = basis @ p_red @ basis.T
-    p = projector.T @ vp @ projector
-    return 0.5 * (p + p.T)
+    return a - z @ z.T, k
 
 
 def _full_residual(a, b, c, p):
@@ -119,21 +110,14 @@ def _full_residual(a, b, c, p):
     return float(np.linalg.norm(res, "fro"))
 
 
-def _newton_kleinman(ar, br, cr, tol, alpha0, max_iter, keep_iterates):
-    gain = alpha0 * cr
-    eigs = np.linalg.eigvals(ar - np.outer(br, gain))
-    if np.any(eigs.real >= 0):
-        raise UnstableClosedLoop(
-            f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
-    q_out = np.outer(cr, cr)
+def _newton_kleinman(a, b, c, gain, tol, max_iter, keep_iterates):
+    q_out = np.outer(c, c)
     iterates = []
-    p = None
     for it in range(1, max_iter + 1):
-        acl = ar - np.outer(br, gain)
-        p = lyapunov_solve(acl, q_out + np.outer(gain, gain))
+        p = lyapunov_solve(a - np.outer(b, gain), q_out + np.outer(gain, gain))
         if keep_iterates:
             iterates.append(p)
-        gain_next = br @ p
+        gain_next = b @ p
         delta = np.linalg.norm(gain_next - gain)
         gain = gain_next
         if delta <= tol * max(1.0, np.linalg.norm(gain)):
@@ -141,11 +125,11 @@ def _newton_kleinman(ar, br, cr, tol, alpha0, max_iter, keep_iterates):
     raise NoConvergence(f"Newton-Kleinman stalled after {max_iter} iterations")
 
 
-def _hamiltonian_sign(ar, br, cr, max_iter):
-    m = ar.shape[0]
+def _hamiltonian_sign(a, b, c, max_iter):
+    m = a.shape[0]
     ham = np.block([
-        [ar, -np.outer(br, br)],
-        [-np.outer(cr, cr), -ar.T],
+        [a, -np.outer(b, b)],
+        [-np.outer(c, c), -a.T],
     ])
     s = matrix_sign(ham, max_iter=max_iter)
     lhs = np.vstack([s[:m, m:], s[m:, m:] + np.eye(m)])
@@ -161,31 +145,27 @@ def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
     ``system`` is a SemiDiscreteSystem or a raw (A, B, C) triple with a
     single input and single output.  ``alpha0`` scales the initial
     stabilizing gain alpha0 * C (the energy feedback u = -alpha0*Hdot).
-    ``method`` selects "newton_kleinman" or "hamiltonian_sign".
+    ``method`` is one of ``METHODS``.
     """
     a, b, c = _as_matrices(system)
-    ar, br, cr, basis, projector = deflate_zero_modes(a, b, c)
-    kernel_dim = a.shape[0] - ar.shape[0]
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    shifted, kernel_dim = deflate_zero_modes(a, b, c)
+    gain0 = alpha0 * c
+    eigs = np.linalg.eigvals(shifted - np.outer(b, gain0))
+    if np.any(eigs.real >= 0):
+        raise UnstableClosedLoop(
+            f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
 
     if method == "newton_kleinman":
-        p_red, iterations, iterates = _newton_kleinman(
-            ar, br, cr, tol, alpha0, max_iter, keep_iterates)
-    elif method == "hamiltonian_sign":
-        eigs = np.linalg.eigvals(ar - np.outer(br, alpha0 * cr))
-        if np.any(eigs.real >= 0):
-            raise UnstableClosedLoop(
-                f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
-        p_red = _hamiltonian_sign(ar, br, cr, max_iter)
-        iterations, iterates = 0, []
+        p, iterations, iterates = _newton_kleinman(
+            shifted, b, c, gain0, tol, max_iter, keep_iterates)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        p = _hamiltonian_sign(shifted, b, c, max_iter)
+        iterations, iterates = 0, []
 
-    p = _lift(p_red, basis, projector)
-    gain = b @ p
-    residual = _full_residual(a, b, c, p)
-    lifted = [_lift(pi, basis, projector) for pi in iterates] if keep_iterates else []
-    return RiccatiSolution(p, gain, residual, iterations, method,
-                           kernel_dim=kernel_dim, iterates=lifted)
+    return RiccatiSolution(p, b @ p, _full_residual(a, b, c, p), iterations, method,
+                           kernel_dim=kernel_dim, iterates=iterates)
 
 
 @dataclass
@@ -208,8 +188,8 @@ class FeedbackComparison:
             writer = csv.writer(fh)
             writer.writerow(["controller", "J", "predicted", "relative_gap"])
             for row in self.rows:
-                writer.writerow([row["controller"], row["J"],
-                                 row.get("predicted", ""), row.get("relative_gap", "")])
+                gap = self.relative_gap if "predicted" in row else ""
+                writer.writerow([row["controller"], row["J"], row.get("predicted", ""), gap])
 
 
 def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
@@ -218,18 +198,15 @@ def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
 
     Every closed loop is marched over the same horizon; costs include
     the fitted tail remainder.  The optimal row also records the
-    Riccati-predicted cost <P z0, z0> and the relative gap.
+    Riccati-predicted cost <P z0, z0>; its relative gap is the table's.
     """
     grid = system.grid
     z0_vec = z0 if isinstance(z0, np.ndarray) else z0.flatten(grid)
 
-    rows = []
     traj = simulate(system, z0_vec, T, dt, gain=riccati.gain)
     optimal_cost = cost(traj).total
     predicted = riccati.predicted_cost(z0_vec)
-    gap = abs(optimal_cost - predicted) / predicted if predicted else 0.0
-    rows.append({"controller": "optimal", "J": optimal_cost,
-                 "predicted": predicted, "relative_gap": gap})
+    rows = [{"controller": "optimal", "J": optimal_cost, "predicted": predicted}]
 
     alpha_costs = []
     for alpha in alpha_grid:

@@ -5,6 +5,7 @@ import pytest
 
 from floatlab import discretization as dz
 from floatlab import lqr
+from floatlab import verification as vf
 from floatlab.errors import NoConvergence, SingularMatrix, UnstableClosedLoop
 from floatlab.spectral import PhysicalParams
 
@@ -91,13 +92,24 @@ class TestCareScalar:
             lqr.care_solve((np.array([[-1.0]]), [1.0], [1.0]), max_iter=0)
 
 
+def kernel_vectors(grid):
+    """Rest mode, left comb and right comb, written from the state layout."""
+    lay, n = grid.layout, grid.n_side
+    rest, left, right = np.zeros((3, lay.dim))
+    rest[lay.H] = 1.0
+    rest[lay.h_left] = rest[lay.h_right] = 1.0
+    # h_left ends at -a and h_right starts at +a: odd steps from the solid
+    left[lay.h_left][n - 2::-2] = 1.0
+    right[lay.h_right][1::2] = 1.0
+    return rest, left, right
+
+
 class TestDeflation:
     def test_no_kernel_is_identity(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-        ar, br, cr, basis, proj = lqr.deflate_zero_modes(a, np.ones(2), np.ones(2))
-        assert ar == pytest.approx(a)
-        assert np.array_equal(basis, np.eye(2))
-        assert np.array_equal(proj, np.eye(2))
+        shifted, k = lqr.deflate_zero_modes(a, np.ones(2), np.ones(2))
+        assert shifted is a
+        assert k == 0
 
     def test_kernel_coupled_to_input_rejected(self):
         a = np.diag([0.0, -1.0])
@@ -109,16 +121,50 @@ class TestDeflation:
         with pytest.raises(UnstableClosedLoop):
             lqr.deflate_zero_modes(a, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
-    def test_structural_kernel_of_the_model(self):
-        system = small_system()
-        ar, br, cr, basis, proj = lqr.deflate_zero_modes(system.A, system.B, system.C)
-        assert ar.shape[0] == system.dim - 3
-        assert np.linalg.eigvals(ar).real.max() < 0
-        # the projector annihilates the rest mode
-        n = system.grid.n_side
-        rest = dz.State(1.0, np.ones(n), np.ones(n),
-                        np.zeros(n), np.zeros(n)).flatten(system.grid)
-        assert np.abs(proj @ rest).max() <= 1e-10
+    @pytest.mark.parametrize("method", lqr.METHODS)
+    def test_defective_kernel_rejected(self, method):
+        # a Jordan block at 0 that input and output do not see: the shift
+        # moves one zero eigenvalue to -1 and leaves the other in place
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        e3 = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(UnstableClosedLoop):
+            lqr.care_solve((a, e3, e3), method=method)
+
+    @pytest.mark.parametrize("n_side", [24, 25])
+    @pytest.mark.parametrize("sponge", [True, False])
+    def test_structural_kernel_is_rest_mode_and_combs(self, n_side, sponge):
+        grid = dz.default_grid(P11, n_side=n_side)
+        system = dz.assemble(grid if sponge else grid.without_sponge())
+        shifted, k = lqr.deflate_zero_modes(system.A, system.B, system.C)
+        assert k == 3
+        assert np.linalg.eigvals(shifted).real.max() < 0
+        for v in kernel_vectors(system.grid):
+            # the rest mode's q- row sums -1.2 + 1.1 + 0.1 in floating point
+            assert np.abs(system.A @ v).max() <= 4 * np.finfo(float).eps * np.abs(system.A).max()
+            assert system.C @ v == 0.0
+            # the shift maps each kernel vector to -v: the SVD kernel is their span
+            assert np.abs(shifted @ v + v).max() <= 1e-12 * np.linalg.norm(v)
+
+
+# n_side alternates 24/25 with the parity of the other three levels, so every
+# value of a, mu and sponge meets both an even and an odd grid
+SWEEP = [(a, mu, sponge, 24 + (i + j + k) % 2)
+         for i, a in enumerate((0.5, 2.0)) for j, mu in enumerate((0.5, 2.0))
+         for k, sponge in enumerate((True, False))]
+
+
+class TestParameterSweep:
+    @pytest.mark.parametrize("a, mu, sponge, n_side", SWEEP)
+    def test_kernel_iterations_residual_and_method_gap(self, a, mu, sponge, n_side):
+        grid = dz.default_grid(PhysicalParams(a, mu), n_side=n_side)
+        system = dz.assemble(grid if sponge else grid.without_sponge())
+        nk = lqr.care_solve(system)
+        hs = lqr.care_solve(system, method="hamiltonian_sign")
+        p_norm = np.linalg.norm(nk.P, "fro")
+        assert nk.kernel_dim == 3
+        assert nk.iterations <= 6
+        assert nk.residual <= 1e-8 * (1.0 + p_norm ** 2)
+        assert np.linalg.norm(nk.P - hs.P, "fro") / p_norm <= vf.METHOD_GAP
 
 
 class TestCareFullSystem:
@@ -158,11 +204,8 @@ class TestCareFullSystem:
         assert rest.real.max() < 0
 
     def test_kernel_costs_nothing(self, solution):
-        system = small_system()
-        n = system.grid.n_side
-        rest = dz.State(1.0, np.ones(n), np.ones(n),
-                        np.zeros(n), np.zeros(n)).flatten(system.grid)
-        assert abs(solution.predicted_cost(rest)) <= 1e-10
+        for v in kernel_vectors(small_system().grid):
+            assert abs(solution.predicted_cost(v)) <= 1e-10
 
 
 class TestCompareFeedbacks:
@@ -194,3 +237,14 @@ class TestCompareFeedbacks:
         lines = path.read_text().splitlines()
         assert lines[0] == "controller,J,predicted,relative_gap"
         assert lines[1].startswith("optimal,")
+
+    def test_csv_gap_is_the_table_gap(self, tmp_path):
+        # a zero prediction with a nonzero cost: the row and the table agree
+        table = lqr.FeedbackComparison(
+            [{"controller": "optimal", "J": 0.5, "predicted": 0.0},
+             {"controller": "alpha=1", "J": 0.7}], 0.0, 0.5, True)
+        path = tmp_path / "compare.csv"
+        table.write_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == f"optimal,0.5,0.0,{table.relative_gap}"
+        assert lines[2] == "alpha=1,0.7,,"
