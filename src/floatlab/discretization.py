@@ -184,7 +184,10 @@ class State:
 
 @dataclass(frozen=True)
 class SemiDiscreteSystem:
-    """Dense generator, input column and output row; u = -C z feeds energy back."""
+    """Dense generator, input column, output row and the generator's kernel.
+
+    u = -C z feeds energy back.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -194,6 +197,32 @@ class SemiDiscreteSystem:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis (dim x 3) of the generator's structural kernel.
+
+        The columns span three modes, written from ``grid.layout``:
+
+        - the rest mode: H = 1 and h = 1 on every node, no flux;
+        - the left comb: h = 1 on every second node of the left side,
+          starting one step from the solid, all else 0;
+        - the right comb: the same on the right side.
+
+        The combs are the odd-even decoupling of the collocated central
+        stencil: a comb has zero central difference at every interior
+        node and zero trace at -+a.  All three are equilibria with zero
+        flux, so the output row does not see them.  Lazy, because a
+        system built by hand may have no grid.
+        """
+        lay, n = self.grid.layout, self.grid.n_side
+        rest, left, right = np.zeros((3, lay.dim))
+        rest[lay.H] = 1.0
+        rest[lay.h_left] = rest[lay.h_right] = 1.0
+        # h_left ends at -a and h_right starts at +a: odd steps from the solid
+        left[lay.h_left][n - 2::-2] = 1.0
+        right[lay.h_right][1::2] = 1.0
+        return np.linalg.qr(np.column_stack([rest, left, right]))[0]
 
 
 def _nodal_operators(grid):
@@ -325,7 +354,9 @@ def _gaussian(center, width, amplitude):
 
     def profile(x):
         t = (x - center) / width
-        return amplitude * np.exp(-t * t)  # t * t overflows to inf where t ** 2 raises
+        # t * t overflows to inf where t ** 2 raises, and exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            return amplitude * np.exp(-t * t)
     return profile
 
 

@@ -2,8 +2,10 @@
 
 The semi-discrete generator has a small structural kernel (the conserved
 rest mode plus the collocated-stencil comb modes); those directions are
-invisible to both the input column and the output row.  With Z an
-orthonormal basis of the kernel, the Riccati equation is solved on the
+invisible to both the input column and the output row.  The kernel is
+written down in closed form by the discretization
+(``SemiDiscreteSystem.kernel``), not found by a numerical rank test.
+With Z that orthonormal basis, the Riccati equation is solved on the
 shifted generator A - Z Z^T, which keeps the rest of A's spectrum and
 moves the kernel eigenvalues to -1 (Brauer's deflation), so the closed
 loop under the energy feedback is strictly Hurwitz.  The shifted cost of
@@ -31,7 +33,6 @@ from .dynamics import cost, simulate
 from .errors import NoConvergence, SingularMatrix, UnstableClosedLoop
 from .linalg import matrix_sign
 
-_KERNEL_RCOND = 1e-10
 METHODS = ("newton_kleinman", "hamiltonian_sign")
 
 
@@ -74,35 +75,40 @@ class RiccatiSolution:
 
 
 def _as_matrices(system):
+    """(A, B, C, Z): a raw triple has no known kernel, so Z has no columns."""
     if isinstance(system, SemiDiscreteSystem):
-        return system.A, system.B, system.C
+        return system.A, system.B, system.C, system.kernel
     a, b, c = system
-    return (np.atleast_2d(np.asarray(a, dtype=float)),
-            np.asarray(b, dtype=float).reshape(-1),
-            np.asarray(c, dtype=float).reshape(-1))
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    return (a, np.asarray(b, dtype=float).reshape(-1),
+            np.asarray(c, dtype=float).reshape(-1), np.zeros((a.shape[0], 0)))
 
 
-def deflate_zero_modes(a, b, c, rcond=_KERNEL_RCOND):
-    """Move the kernel of the generator to -1, returning (shifted, k).
+def deflate_zero_modes(a, b, c, z):
+    """Move the kernel of the generator to -1, returning (a - z z^T, k).
 
-    One SVD cuts the k singular values at or below ``rcond`` times the
-    largest; the matching singular vectors span the left kernel W and the
-    orthonormal right kernel Z, and the shifted generator is a - Z Z^T.
-    Requires the kernel to be invisible to input and output (it is,
-    structurally, for the discretized model); anything else is reported
-    as UnstableClosedLoop since no stabilizing solution can exist then.
+    ``z`` is an orthonormal basis (dim x k) of ker a, written down by the
+    caller; with a z = 0 the shift maps each column of z to its negative
+    and keeps the rest of the spectrum.  The left kernel of a is then
+    (a - z z^T)^-T z, found by one dense solve.  The kernel must be
+    invisible to input and output (it is, structurally, for the
+    discretized model); anything else is reported as UnstableClosedLoop
+    since no stabilizing solution can exist then.
     """
-    u, s, vt = sla.svd(a)
-    k = int(np.sum(s <= rcond * s[0]))
+    k = z.shape[1]
     if k == 0:
         return a, 0
-    w, z = u[:, -k:], vt[-k:].T
+    if np.abs(a @ z).max() > 1e-12 * np.abs(a).max():
+        raise ValueError("z is not a kernel basis of a")
+    shifted = a - z @ z.T
+    w = np.linalg.solve(shifted.T, z)
+    w /= np.linalg.norm(w, axis=0)
     scale_b = np.linalg.norm(b) or 1.0
     scale_c = np.linalg.norm(c) or 1.0
     if np.abs(w.T @ b).max() > 1e-8 * scale_b or np.abs(c @ z).max() > 1e-8 * scale_c:
         raise UnstableClosedLoop(
             "zero modes are coupled to the input or output; no stabilizing solution")
-    return a - z @ z.T, k
+    return shifted, k
 
 
 def _full_residual(a, b, c, p):
@@ -134,7 +140,7 @@ def _hamiltonian_sign(a, b, c, max_iter):
     s = matrix_sign(ham, max_iter=max_iter)
     lhs = np.vstack([s[:m, m:], s[m:, m:] + np.eye(m)])
     rhs = -np.vstack([s[:m, :m] + np.eye(m), s[m:, :m]])
-    p, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    p, *_ = np.linalg.lstsq(lhs, rhs)
     return 0.5 * (p + p.T)
 
 
@@ -142,25 +148,27 @@ def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
                max_iter=60, keep_iterates=False) -> RiccatiSolution:
     """Minimal nonnegative solution of A^T P + P A - P B B^T P + C^T C = 0.
 
-    ``system`` is a SemiDiscreteSystem or a raw (A, B, C) triple with a
-    single input and single output.  ``alpha0`` scales the initial
+    ``system`` is a SemiDiscreteSystem, whose structural kernel is
+    deflated, or a raw (A, B, C) triple with a single input and single
+    output, which is solved as given.  ``alpha0`` scales the initial
     stabilizing gain alpha0 * C (the energy feedback u = -alpha0*Hdot).
     ``method`` is one of ``METHODS``.
     """
-    a, b, c = _as_matrices(system)
+    a, b, c, z = _as_matrices(system)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    shifted, kernel_dim = deflate_zero_modes(a, b, c)
+    shifted, kernel_dim = deflate_zero_modes(a, b, c, z)
     gain0 = alpha0 * c
-    eigs = np.linalg.eigvals(shifted - np.outer(b, gain0))
-    if np.any(eigs.real >= 0):
-        raise UnstableClosedLoop(
-            f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
 
     if method == "newton_kleinman":
+        # the first Lyapunov solve rejects a non-stabilizing gain0 itself
         p, iterations, iterates = _newton_kleinman(
             shifted, b, c, gain0, tol, max_iter, keep_iterates)
     else:
+        eigs = np.linalg.eigvals(shifted - np.outer(b, gain0))
+        if np.any(eigs.real >= 0):
+            raise UnstableClosedLoop(
+                f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
         p = _hamiltonian_sign(shifted, b, c, max_iter)
         iterations, iterates = 0, []
 

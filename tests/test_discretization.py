@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,47 @@ class TestAssemble:
         st = dz.State.unflatten(z, grid)
         assert system.C @ z == pytest.approx(st.hdot(grid))
         assert system.C @ z == pytest.approx((system.A @ z)[0])
+
+
+def checkerboard_pair(n_side, L, sponge):
+    """n_side^2 * rate of the k = 1 checkerboard pair, and how much B sees it.
+
+    The pair is chosen by its signature: two real, equal nonzero
+    eigenvalues with n_side^2 * rate nearest pi^2/4.  It is not the
+    slowest mode in general: at L = 40, n_side = 50 complex modes decay
+    more slowly.  The eigenvectors of a degenerate pair are not unique,
+    so B is tested against the pair's whole left eigenspace.
+    """
+    grid = dz.default_grid(P11, n_side=n_side, L=L)
+    system = dz.assemble(grid if sponge else grid.without_sponge())
+    ev, left = sla.eig(system.A, left=True, right=False)
+    scaled = -ev.real * n_side**2
+    real = np.flatnonzero((ev.imag == 0) & (np.abs(ev) > 1e-8))
+    real = real[np.argsort(scaled[real])]
+    pairs = [(i, j) for i, j in zip(real, real[1:])
+             if abs(ev[i] - ev[j]) <= 1e-5 * abs(ev[i])]
+    i, j = min(pairs, key=lambda p: abs(scaled[p[0]] - math.pi**2 / 4))
+    space = np.linalg.qr(left[:, [i, j]].real)[0]
+    seen = np.linalg.norm(space.T @ system.B) / np.linalg.norm(system.B)
+    return 0.5 * (scaled[i] + scaled[j]), seen
+
+
+class TestCheckerboardFamily:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return {(n, L, sponge): checkerboard_pair(n, L, sponge)
+                for n in (50, 100) for L in (20.0, 40.0) for sponge in (True, False)}
+
+    def test_rate_tends_to_pi_squared_over_four(self, pairs):
+        rates = {n: [r for (m, _, _), (r, _) in pairs.items() if m == n] for n in (50, 100)}
+        for n, measured in ((50, 2.6755), (100, 2.5687)):
+            # the same for both L and with the sponge on or off: a grid mode
+            assert rates[n] == pytest.approx([measured] * 4, rel=1e-3)
+        assert math.pi**2 / 4 < min(rates[100]) and max(rates[100]) < min(rates[50])
+
+    def test_input_does_not_see_the_pair(self, pairs):
+        for _, seen in pairs.values():
+            assert seen <= 1e-9
 
 
 class TestInitialState:

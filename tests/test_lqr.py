@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from floatlab import discretization as dz
 from floatlab import lqr
@@ -92,34 +93,36 @@ class TestCareScalar:
             lqr.care_solve((np.array([[-1.0]]), [1.0], [1.0]), max_iter=0)
 
 
-def kernel_vectors(grid):
-    """Rest mode, left comb and right comb, written from the state layout."""
-    lay, n = grid.layout, grid.n_side
-    rest, left, right = np.zeros((3, lay.dim))
-    rest[lay.H] = 1.0
-    rest[lay.h_left] = rest[lay.h_right] = 1.0
-    # h_left ends at -a and h_right starts at +a: odd steps from the solid
-    left[lay.h_left][n - 2::-2] = 1.0
-    right[lay.h_right][1::2] = 1.0
-    return rest, left, right
+EPS = np.finfo(float).eps
+# every parity of n_side from 8 to 40, then both parities at n_side >= 100
+KERNEL_SIDES = [*range(8, 41), 99, 100, 101, 200]
+MUS = (0.5, 1.0, 2.0)
 
 
 class TestDeflation:
     def test_no_kernel_is_identity(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-        shifted, k = lqr.deflate_zero_modes(a, np.ones(2), np.ones(2))
+        shifted, k = lqr.deflate_zero_modes(a, np.ones(2), np.ones(2), np.zeros((2, 0)))
         assert shifted is a
         assert k == 0
 
     def test_kernel_coupled_to_input_rejected(self):
         a = np.diag([0.0, -1.0])
         with pytest.raises(UnstableClosedLoop):
-            lqr.deflate_zero_modes(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+            lqr.deflate_zero_modes(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                                   np.eye(2)[:, :1])
 
     def test_kernel_coupled_to_output_rejected(self):
         a = np.diag([0.0, -1.0])
         with pytest.raises(UnstableClosedLoop):
-            lqr.deflate_zero_modes(a, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+            lqr.deflate_zero_modes(a, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                                   np.eye(2)[:, :1])
+
+    def test_basis_outside_the_kernel_rejected(self):
+        a = np.diag([0.0, -1.0])
+        with pytest.raises(ValueError):
+            lqr.deflate_zero_modes(a, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                                   np.eye(2)[:, 1:])
 
     @pytest.mark.parametrize("method", lqr.METHODS)
     def test_defective_kernel_rejected(self, method):
@@ -130,20 +133,35 @@ class TestDeflation:
         with pytest.raises(UnstableClosedLoop):
             lqr.care_solve((a, e3, e3), method=method)
 
-    @pytest.mark.parametrize("n_side", [24, 25])
+    @pytest.mark.parametrize("n_side", KERNEL_SIDES)
     @pytest.mark.parametrize("sponge", [True, False])
     def test_structural_kernel_is_rest_mode_and_combs(self, n_side, sponge):
-        grid = dz.default_grid(P11, n_side=n_side)
-        system = dz.assemble(grid if sponge else grid.without_sponge())
-        shifted, k = lqr.deflate_zero_modes(system.A, system.B, system.C)
-        assert k == 3
-        assert np.linalg.eigvals(shifted).real.max() < 0
-        for v in kernel_vectors(system.grid):
+        # h_right[1::2] = 1: the right comb, odd steps from the solid
+        comb, flat = np.arange(n_side) % 2.0, np.zeros(n_side)
+        modes = (dz.State(1.0, np.ones(n_side), np.ones(n_side), flat, flat),
+                 dz.State(0.0, comb[::-1], flat, flat, flat),
+                 dz.State(0.0, flat, comb, flat, flat))
+        # mu cycles with n_side, so over six consecutive n_side every
+        # (a, mu) pair meets an even and an odd grid
+        for i, a in enumerate((0.5, 1.0, 2.0)):
+            grid = dz.default_grid(PhysicalParams(a, MUS[(i + n_side) % 3]), n_side=n_side)
+            system = dz.assemble(grid if sponge else grid.without_sponge())
+            z = system.kernel
+            assert z.shape == (system.dim, 3)
+            assert np.abs(z.T @ z - np.eye(3)).max() <= 1e-13
+            for mode in modes:
+                v = mode.flatten(grid)
+                assert np.abs(v - z @ (z.T @ v)).max() <= 1e-13
             # the rest mode's q- row sums -1.2 + 1.1 + 0.1 in floating point
-            assert np.abs(system.A @ v).max() <= 4 * np.finfo(float).eps * np.abs(system.A).max()
-            assert system.C @ v == 0.0
-            # the shift maps each kernel vector to -v: the SVD kernel is their span
-            assert np.abs(shifted @ v + v).max() <= 1e-12 * np.linalg.norm(v)
+            assert np.abs(system.A @ z).max() <= 4 * EPS * np.abs(system.A).max()
+            assert np.all(system.C @ z == 0.0)
+            # reference: the numerical rank test the closed form replaces
+            s = sla.svdvals(system.A)
+            assert np.sum(s <= 1e-10 * s[0]) == 3
+            shifted, k = lqr.deflate_zero_modes(system.A, system.B, system.C, z)
+            assert k == 3
+            assert np.abs(shifted @ z + z).max() <= 1e-13
+            assert np.linalg.eigvals(shifted).real.max() < 0
 
 
 # n_side alternates 24/25 with the parity of the other three levels, so every
@@ -204,7 +222,7 @@ class TestCareFullSystem:
         assert rest.real.max() < 0
 
     def test_kernel_costs_nothing(self, solution):
-        for v in kernel_vectors(small_system().grid):
+        for v in small_system().kernel.T:
             assert abs(solution.predicted_cost(v)) <= 1e-10
 
 
