@@ -353,9 +353,10 @@ def _gaussian(center, width, amplitude):
         raise ValueError(f"width must be positive, got {width}")
 
     def profile(x):
-        t = (x - center) / width
-        # t * t overflows to inf where t ** 2 raises, and exp(-inf) = 0
+        # (x - center) / width and t * t overflow to inf far out (a huge
+        # center over a tiny width), where t ** 2 raises, and exp(-inf) = 0
         with np.errstate(over="ignore"):
+            t = (x - center) / width
             return amplitude * np.exp(-t * t)
     return profile
 

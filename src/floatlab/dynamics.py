@@ -10,7 +10,9 @@ loop A - B K: it enters each step as a rank-one (Sherman-Morrison)
 correction along w = (I - theta*dt*A)^-1 B, so the open loop, the energy
 feedbacks and the Riccati gain all step on the same kind of
 factorisation.  The adaptive horizon marches into one preallocated
-history with a single factorisation.
+history with a single factorisation.  ``feedback_costs`` marches several
+feedback gains at once, as the columns of one block on one
+factorisation, and keeps only u and Hdot, which is all the cost reads.
 """
 
 from __future__ import annotations
@@ -52,11 +54,16 @@ class Stepper:
         self._w = self._lu.solve(np.asarray(system.B, dtype=float))
 
     def advance(self, z, u_now, u_next):
+        """One step from z with the input samples at both ends of the step.
+
+        A (dim,) state takes scalar inputs; a (dim, m) block of m runs takes
+        (m,) inputs, one per column, and all columns share the solve.
+        """
         b = self.system.B
         if self._explicit is not None:
-            rhs = self._explicit @ z + 0.5 * self.dt * b * (u_now + u_next)
+            rhs = self._explicit @ z + np.multiply.outer(0.5 * self.dt * b, u_now + u_next)
         else:
-            rhs = z + self.dt * b * u_next
+            rhs = z + np.multiply.outer(self.dt * b, u_next)
         return self._lu.solve(rhs)
 
 
@@ -89,13 +96,36 @@ class Trajectory:
                    header="t,H,Hdot,q_minus,q_plus,E,u", comments="")
 
 
+class _Feedback:
+    """State feedback u = -K z closed through the open-loop factorisation.
+
+    A step with u_next = 0 gives y; z1 = y + theta*dt*w*u1 with u1 = -K z1
+    then gives u1 = -K y / (1 + K theta*dt*w) (Sherman-Morrison), so the
+    closed loop A - B K is never formed.  ``gain`` is one row K for a
+    (dim,) state, or an (m, dim) block whose rows close the m columns of a
+    (dim, m) block.
+    """
+
+    def __init__(self, stepper, gain):
+        self.stepper = stepper
+        self.gain = gain
+        self.correction = stepper.theta * stepper.dt * stepper._w
+        self.denominator = 1.0 + np.vecdot(gain, self.correction)
+        self.zero_input = np.zeros(len(gain)) if gain.ndim == 2 else 0.0
+
+    def step(self, z, u_now):
+        """(z1, u1): one closed-loop step from z, whose input is u_now = -K z."""
+        y = self.stepper.advance(z, u_now, self.zero_input)
+        u_next = -np.vecdot(self.gain, y.T) / self.denominator
+        return y + np.multiply.outer(self.correction, u_next), u_next
+
+
 def _march(stepper, states, inputs, start, stop, gain):
     """Fill rows start+1..stop of ``states`` by stepping from row ``start``.
 
-    Without a gain ``inputs`` holds the open-loop samples.  With a gain K
-    the step solves (I - theta*dt*(A - B K)) z1 = ... through the open-loop
-    factorisation: y steps with u_next = 0, then u_next = -K z1 follows
-    from z1 = y + theta*dt*w*u_next, and is recorded in ``inputs``.
+    Without a gain ``inputs`` holds the open-loop samples; with a gain K
+    each step is closed by ``_Feedback`` and u = -K z is recorded in
+    ``inputs``.
     """
     z = states[start]
     if gain is None:
@@ -103,14 +133,10 @@ def _march(stepper, states, inputs, start, stop, gain):
             z = stepper.advance(z, inputs[k - 1], inputs[k])
             states[k] = z
         return
-    correction = stepper.theta * stepper.dt * stepper._w
-    denominator = 1.0 + gain @ correction
+    feedback = _Feedback(stepper, gain)
     for k in range(start + 1, stop + 1):
-        y = stepper.advance(z, inputs[k - 1], 0.0)
-        u_next = -(gain @ y) / denominator
-        z = y + correction * u_next
+        z, inputs[k] = feedback.step(z, inputs[k - 1])
         states[k] = z
-        inputs[k] = u_next
 
 
 def _row_forms(states, *forms):
@@ -128,10 +154,15 @@ def _energies(states, grid):
     return 0.5 * _row_forms(states, quadratic_forms(grid)[0])[0]
 
 
+def state_vector(system, z0) -> np.ndarray:
+    """z0 as a flat state vector: a State is flattened on the system's grid."""
+    return z0.flatten(system.grid) if isinstance(z0, State) else np.asarray(z0, dtype=float)
+
+
 def _start(system, z0, n_steps, gain):
     """Empty history with z0 in row 0, and the feedback row vector if any."""
     states = np.empty((n_steps + 1, system.dim))
-    states[0] = z0.flatten(system.grid) if isinstance(z0, State) else z0
+    states[0] = state_vector(system, z0)
     inputs = np.zeros(n_steps + 1)
     if gain is not None:
         gain = np.asarray(gain, dtype=float).reshape(-1)
@@ -194,6 +225,32 @@ def simulate_adaptive(system, z0, dt, t_max, u=None, gain=None,
     states = states[:k + 1]
     return Trajectory(dt * np.arange(k + 1), states, inputs[:k + 1],
                       _energies(states, system.grid), system)
+
+
+def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
+    """Costs of the closed loops u = -K z from z0, one per row K of ``gains``.
+
+    The m loops march together as the columns of one (dim, m) block on a
+    single factorisation: each step is one sparse product and one solve
+    with m right-hand sides.  Only u and Hdot are kept, not the state
+    history.  Returns one CostReport per row and the final states z(T) as
+    the columns of a (dim, m) block.
+    """
+    if not (T > 0 and dt > 0):
+        raise ValueError("T and dt must be positive")
+    n_steps = int(round(T / dt))
+    gains = np.atleast_2d(np.asarray(gains, dtype=float))
+    z = np.repeat(state_vector(system, z0)[:, None], gains.shape[0], axis=1)
+    inputs = np.empty((n_steps + 1, gains.shape[0]))
+    outputs = np.empty_like(inputs)
+    inputs[0] = -np.vecdot(gains, z.T)
+    outputs[0] = system.C @ z
+    feedback = _Feedback(Stepper(system, dt, scheme), gains)
+    for k in range(1, n_steps + 1):
+        z, inputs[k] = feedback.step(z, inputs[k - 1])
+        outputs[k] = system.C @ z
+    times = dt * np.arange(n_steps + 1)
+    return [_running_cost(times, u, y) for u, y in zip(inputs.T, outputs.T)], z
 
 
 @dataclass
@@ -262,17 +319,20 @@ class CostReport:
 
 
 def cost(trajectory: Trajectory) -> CostReport:
-    """Trapezoid quadrature of the running cost, with an exponential tail fit.
+    """Running cost of a trajectory (see ``_running_cost``)."""
+    return _running_cost(trajectory.times, trajectory.inputs, trajectory.outputs())
 
-    The integrand g = |u|^2 + |Hdot|^2 over the last quarter of the
-    horizon is fit with a decaying exponential; a fitted growth raises
-    NonDecayingTail since the horizon is then too short for the tail to
-    mean anything.
+
+def _running_cost(t, u, y) -> CostReport:
+    """Trapezoid quadrature of g = |u|^2 + |Hdot|^2, with an exponential tail fit.
+
+    ``u`` and ``y`` (Hdot) are sampled at the times ``t``.  The integrand
+    over the last quarter of the horizon is fit with a decaying
+    exponential; a fitted growth raises NonDecayingTail since the horizon
+    is then too short for the tail to mean anything.
     """
-    t = trajectory.times
-    y = trajectory.outputs()
-    g = trajectory.inputs ** 2 + y ** 2
-    u_part = float(np.trapezoid(trajectory.inputs ** 2, t))
+    g = u ** 2 + y ** 2
+    u_part = float(np.trapezoid(u ** 2, t))
     y_part = float(np.trapezoid(y ** 2, t))
     horizon = float(t[-1] - t[0])
 
@@ -293,7 +353,10 @@ def cost(trajectory: Trajectory) -> CostReport:
             slope = np.polyfit(tt[pos], np.log(gg[pos]), 1)[0]
             # a fitted rise means "horizon too short" only while another
             # horizon's worth at the current level would still move J;
-            # below that the residue is beat ripple of near-undamped modes
+            # below that the residue is the checkerboard family, a grid
+            # artefact of the collocated stencil that B cannot reach
+            # (uncontrollable) and C barely sees (nearly unobservable), so
+            # no feedback damps it and its faint ripple sets the late slope
             end_level = float(g[int(0.95 * (g.size - 1)):].max())
             if slope > 1e-12 and end_level * horizon > 1e-2 * max(j_finite, 1e-300):
                 raise NonDecayingTail(

@@ -29,7 +29,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dtrsyl
 
 from .discretization import SemiDiscreteSystem
-from .dynamics import cost, simulate
+from .dynamics import feedback_costs, state_vector
 from .errors import NoConvergence, SingularMatrix, UnstableClosedLoop
 from .linalg import matrix_sign
 
@@ -178,12 +178,18 @@ def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
 
 @dataclass
 class FeedbackComparison:
-    """Closed-loop cost table: the Riccati gain against energy feedbacks."""
+    """Closed-loop cost table: the Riccati gain against energy feedbacks.
+
+    ``tail_fitted`` and ``tail_exact`` are the optimal loop's remaining cost
+    beyond the horizon: the exponential fit inside its J, and z(T)^T P z(T).
+    """
 
     rows: list[dict]
     predicted_optimal: float
     optimal_cost: float
     optimal_is_best: bool
+    tail_fitted: float = 0.0
+    tail_exact: float = 0.0
 
     @property
     def relative_gap(self) -> float:
@@ -204,24 +210,20 @@ def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
                       T, dt) -> FeedbackComparison:
     """Simulate the optimal gain against the energy feedbacks u = -alpha*Hdot.
 
-    Every closed loop is marched over the same horizon; costs include
-    the fitted tail remainder.  The optimal row also records the
-    Riccati-predicted cost <P z0, z0>; its relative gap is the table's.
+    All the closed loops march together over the same horizon, as the
+    columns of one block on a single factorisation (``feedback_costs``),
+    and keep only u and Hdot; costs include the fitted tail remainder.
+    The optimal row also records the Riccati-predicted cost <P z0, z0>;
+    its relative gap is the table's.
     """
-    grid = system.grid
-    z0_vec = z0 if isinstance(z0, np.ndarray) else z0.flatten(grid)
-
-    traj = simulate(system, z0_vec, T, dt, gain=riccati.gain)
-    optimal_cost = cost(traj).total
-    predicted = riccati.predicted_cost(z0_vec)
-    rows = [{"controller": "optimal", "J": optimal_cost, "predicted": predicted}]
-
-    alpha_costs = []
-    for alpha in alpha_grid:
-        traj = simulate(system, z0_vec, T, dt, gain=alpha * system.C)
-        j_alpha = cost(traj).total
-        alpha_costs.append(j_alpha)
-        rows.append({"controller": f"alpha={alpha:g}", "J": j_alpha})
-
-    best = optimal_cost <= min(alpha_costs, default=np.inf) * (1.0 + 1e-6) + 1e-12
-    return FeedbackComparison(rows, predicted, optimal_cost, best)
+    gains = np.vstack([riccati.gain] + [alpha * system.C for alpha in alpha_grid])
+    (optimal, *energy), z_end = feedback_costs(system, z0, gains, T, dt)
+    predicted = riccati.predicted_cost(state_vector(system, z0))
+    rows = [{"controller": "optimal", "J": optimal.total, "predicted": predicted}]
+    rows += [{"controller": f"alpha={alpha:g}", "J": report.total}
+             for alpha, report in zip(alpha_grid, energy)]
+    best = (optimal.total <= min((r.total for r in energy), default=np.inf) * (1.0 + 1e-6)
+            + 1e-12)
+    return FeedbackComparison(rows, predicted, optimal.total, best,
+                              tail_fitted=optimal.tail_estimate,
+                              tail_exact=riccati.predicted_cost(z_end[:, 0]))

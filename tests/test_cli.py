@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import floatlab
@@ -232,6 +232,7 @@ class TestPresetGrammar:
 
     @settings(max_examples=200, deadline=None)
     @given(spec=preset_spec())
+    @example(spec="bump:center=1e308,width=1e-300")
     def test_grammar_never_raises_anything_else(self, spec):
         grid = dz.build_grid(PhysicalParams(1.0, 1.0), 20.0, 16)
         try:

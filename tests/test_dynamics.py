@@ -5,6 +5,7 @@ import pytest
 
 from floatlab import discretization as dz
 from floatlab import dynamics as dyn
+from floatlab import lqr
 from floatlab.errors import NonDecayingTail, SingularSystem
 from floatlab.spectral import PhysicalParams
 
@@ -83,6 +84,25 @@ class TestStepperAgainstDense:
         traj = dyn.simulate(system, z0, T=dt * n_steps, dt=dt, u=u, scheme=scheme)
         reference = dense_reference(system, z0, dt, n_steps, theta, u=u)
         assert self.relative(traj.states, reference) <= 1e-12
+
+    @pytest.mark.parametrize("scheme,theta", SCHEMES)
+    def test_two_column_block(self, scheme, theta):
+        # each column of a (dim, 2) block steps as its own run with its own input
+        system = small_system(24)
+        grid = system.grid
+        z0 = np.column_stack([dz.bump_state(grid).flatten(grid),
+                              dz.heave_state(grid).flatten(grid)])
+        dt, n_steps = 0.05, 60
+        t = dt * np.arange(n_steps + 1)
+        u = np.column_stack([np.sin(0.7 * t), np.cos(0.3 * t)])
+        stepper = dyn.Stepper(system, dt, scheme)
+        z = z0
+        for k in range(1, n_steps + 1):
+            z = stepper.advance(z, u[k - 1], u[k])
+        assert z.shape == z0.shape
+        for j in range(2):
+            reference = dense_reference(system, z0[:, j], dt, n_steps, theta, u=u[:, j])
+            assert self.relative(z[:, j], reference[-1]) <= 1e-12
 
     @pytest.mark.parametrize("scheme,theta", SCHEMES)
     def test_feedback_gain(self, scheme, theta):
@@ -303,6 +323,39 @@ class TestCost:
     def test_growing_tail_rejected(self):
         with pytest.raises(NonDecayingTail):
             dyn.cost(self.synthetic(lambda t: math.exp(0.05 * t)))
+
+
+class TestFeedbackCosts:
+    @pytest.mark.parametrize("scheme", dyn.SCHEMES)
+    def test_columns_match_separate_marches(self, scheme):
+        system = small_system(24)
+        z0 = dz.heave_state(system.grid)
+        gains = np.vstack([np.zeros(system.dim), system.C,
+                           lqr.care_solve(system).gain])
+        reports, z_end = dyn.feedback_costs(system, z0, gains, T=12.0, dt=0.05,
+                                            scheme=scheme)
+        assert len(reports) == 3 and z_end.shape == (system.dim, 3)
+        # the zero row is the open loop
+        open_loop = dyn.simulate(system, z0, T=12.0, dt=0.05, scheme=scheme)
+        references = [open_loop] + [
+            dyn.simulate(system, z0, T=12.0, dt=0.05, gain=row, scheme=scheme)
+            for row in gains[1:]]
+        for report, traj, z in zip(reports, references, z_end.T):
+            want = dyn.cost(traj)
+            assert want.tail_estimate > 0.0
+            for field in ("J", "u_part", "y_part", "horizon", "tail_estimate"):
+                assert getattr(report, field) == pytest.approx(getattr(want, field),
+                                                               rel=1e-12, abs=0.0)
+            assert np.abs(z - traj.states[-1]).max() <= 1e-12 * np.abs(traj.states[-1]).max()
+
+    def test_growing_column_rejected(self):
+        system = small_system(24)
+        z0 = dz.heave_state(system.grid)
+        with pytest.raises(NonDecayingTail):
+            dyn.cost(dyn.simulate(system, z0, T=10.0, dt=0.05, gain=-8.0 * system.C))
+        with pytest.raises(NonDecayingTail):
+            dyn.feedback_costs(system, z0, np.vstack([system.C, -8.0 * system.C]),
+                               T=10.0, dt=0.05)
 
 
 class TestEnergyFeedbackInequality:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from floatlab import discretization as dz
+from floatlab import dynamics as dyn
 from floatlab import lqr
 from floatlab import verification as vf
 from floatlab.errors import NoConvergence, SingularMatrix, UnstableClosedLoop
@@ -244,6 +246,32 @@ class TestCompareFeedbacks:
         assert table.relative_gap <= 0.02
         assert table.rows[0]["controller"] == "optimal"
         assert len(table.rows) == 6
+
+    def test_one_factorisation_and_no_history(self, monkeypatch):
+        # the default lqr comparison: six loops over 12,000 steps at dim 399
+        system = small_system(100)
+        solution = lqr.care_solve(system)
+        constructed = []
+        init = dyn.Stepper.__init__
+
+        def spy(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(dyn.Stepper, "__init__", spy)
+        tracemalloc.start()
+        try:
+            table = lqr.compare_feedbacks(system, dz.heave_state(system.grid),
+                                          (0.25, 0.5, 1.0, 2.0, 4.0), solution,
+                                          T=240.0, dt=0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(constructed) == 1
+        history = 12_001 * system.dim * 8
+        assert peak <= 0.25 * history
+        assert table.optimal_is_best
+        assert 0.0 < table.tail_exact and 0.0 < table.tail_fitted
 
     def test_csv_export(self, tmp_path):
         system = small_system(32)
