@@ -5,7 +5,9 @@ schemes here are unconditionally stable implicit one-step methods:
 trapezoidal (default, second order) and implicit Euler.  The generator
 has a few nonzeros per row, so the implicit matrix I - theta*dt*A is
 factorised once per march with a sparse LU (theta = 1/2 trapezoidal, 1
-implicit Euler).  A state feedback u = -K z never forms the dense closed
+implicit Euler), and each step is one solve on it: the explicit half of
+the scheme is rewritten in terms of the implicit matrix, so no step
+multiplies by A.  A state feedback u = -K z never forms the dense closed
 loop A - B K: it enters each step as a rank-one (Sherman-Morrison)
 correction along w = (I - theta*dt*A)^-1 B, so the open loop, the energy
 feedbacks and the Riccati gain all step on the same kind of
@@ -33,25 +35,41 @@ _FORM_BLOCK = 1024
 
 
 class Stepper:
-    """One-step implicit integrator with a cached sparse LU factorisation."""
+    """One-step implicit integrator with a cached sparse LU factorisation.
+
+    With M = I - theta*dt*A the explicit half of the theta-scheme is
+    I + (1-theta)*dt*A = (1/theta) I - ((1-theta)/theta) M, so a step is
+    one solve s = M^-1 z and no product with A:
+    z1 = s/theta - ((1-theta)/theta) z + dt*w*(theta*u1 + (1-theta)*u0),
+    with w = M^-1 B.
+    """
 
     def __init__(self, system: SemiDiscreteSystem, dt, scheme="trapezoidal"):
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-        self.system = system
         self.dt = float(dt)
         self.scheme = scheme
         self.theta = 0.5 if scheme == "trapezoidal" else 1.0
         a = sps.csc_array(system.A)
         eye = sps.identity(system.dim, format="csc")
-        self._explicit = (eye + 0.5 * self.dt * a).tocsr() if scheme == "trapezoidal" else None
         try:
             self._lu = splu(sps.csc_array(eye - self.theta * self.dt * a))
         except RuntimeError as exc:
             raise SingularSystem(f"implicit matrix singular for dt={dt}") from exc
-        self._w = self._lu.solve(np.asarray(system.B, dtype=float))
+        self._dt_w = self.dt * self._lu.solve(np.asarray(system.B, dtype=float))
+        self._lag = (1.0 - self.theta) / self.theta
+
+    def _combine(self, z, s, u):
+        """z1 from z, s = M^-1 z and the step's weighted input theta*u1 + (1-theta)*u0."""
+        # the solve returns a (dim, m) block in column-major order; the
+        # transposed outer product keeps that order, so the elementwise
+        # operations run along columns and the next solve needs no copy
+        z1 = s / self.theta + np.multiply.outer(u, self._dt_w).T
+        if self._lag:
+            z1 -= self._lag * z
+        return z1
 
     def advance(self, z, u_now, u_next):
         """One step from z with the input samples at both ends of the step.
@@ -59,12 +77,8 @@ class Stepper:
         A (dim,) state takes scalar inputs; a (dim, m) block of m runs takes
         (m,) inputs, one per column, and all columns share the solve.
         """
-        b = self.system.B
-        if self._explicit is not None:
-            rhs = self._explicit @ z + np.multiply.outer(0.5 * self.dt * b, u_now + u_next)
-        else:
-            rhs = z + np.multiply.outer(self.dt * b, u_next)
-        return self._lu.solve(rhs)
+        u = self.theta * u_next + (1.0 - self.theta) * u_now
+        return self._combine(z, self._lu.solve(z), u)
 
 
 @dataclass
@@ -99,25 +113,24 @@ class Trajectory:
 class _Feedback:
     """State feedback u = -K z closed through the open-loop factorisation.
 
-    A step with u_next = 0 gives y; z1 = y + theta*dt*w*u1 with u1 = -K z1
-    then gives u1 = -K y / (1 + K theta*dt*w) (Sherman-Morrison), so the
-    closed loop A - B K is never formed.  ``gain`` is one row K for a
-    (dim,) state, or an (m, dim) block whose rows close the m columns of a
-    (dim, m) block.
+    On the closed loop the step's weighted input theta*u1 + (1-theta)*u0 is
+    -K (M + theta*dt*B K)^-1 z, which Sherman-Morrison gives from s = M^-1 z
+    as -K s / (1 + theta*dt*K w); so a closed-loop step is one solve, the
+    closed loop A - B K is never formed, and u1 = -K z1 is read off the
+    new state.  ``gain`` is one row K for a (dim,) state, or an (m, dim)
+    block whose rows close the m columns of a (dim, m) block.
     """
 
     def __init__(self, stepper, gain):
         self.stepper = stepper
         self.gain = gain
-        self.correction = stepper.theta * stepper.dt * stepper._w
-        self.denominator = 1.0 + np.vecdot(gain, self.correction)
-        self.zero_input = np.zeros(len(gain)) if gain.ndim == 2 else 0.0
+        self.scale = -1.0 / (1.0 + np.vecdot(gain, stepper.theta * stepper._dt_w))
 
-    def step(self, z, u_now):
-        """(z1, u1): one closed-loop step from z, whose input is u_now = -K z."""
-        y = self.stepper.advance(z, u_now, self.zero_input)
-        u_next = -np.vecdot(self.gain, y.T) / self.denominator
-        return y + np.multiply.outer(self.correction, u_next), u_next
+    def step(self, z):
+        """(z1, u1): one closed-loop step from z."""
+        s = self.stepper._lu.solve(z)
+        z1 = self.stepper._combine(z, s, np.vecdot(self.gain, s.T) * self.scale)
+        return z1, -np.vecdot(self.gain, z1.T)
 
 
 def _march(stepper, states, inputs, start, stop, gain):
@@ -135,7 +148,7 @@ def _march(stepper, states, inputs, start, stop, gain):
         return
     feedback = _Feedback(stepper, gain)
     for k in range(start + 1, stop + 1):
-        z, inputs[k] = feedback.step(z, inputs[k - 1])
+        z, inputs[k] = feedback.step(z)
         states[k] = z
 
 
@@ -231,10 +244,10 @@ def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
     """Costs of the closed loops u = -K z from z0, one per row K of ``gains``.
 
     The m loops march together as the columns of one (dim, m) block on a
-    single factorisation: each step is one sparse product and one solve
-    with m right-hand sides.  Only u and Hdot are kept, not the state
-    history.  Returns one CostReport per row and the final states z(T) as
-    the columns of a (dim, m) block.
+    single factorisation: each step is one solve with m right-hand sides.
+    Only u and Hdot are kept, not the state history.  Returns one
+    CostReport per row and the final states z(T) as the columns of a
+    (dim, m) block.
     """
     if not (T > 0 and dt > 0):
         raise ValueError("T and dt must be positive")
@@ -247,7 +260,7 @@ def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
     outputs[0] = system.C @ z
     feedback = _Feedback(Stepper(system, dt, scheme), gains)
     for k in range(1, n_steps + 1):
-        z, inputs[k] = feedback.step(z, inputs[k - 1])
+        z, inputs[k] = feedback.step(z)
         outputs[k] = system.C @ z
     times = dt * np.arange(n_steps + 1)
     return [_running_cost(times, u, y) for u, y in zip(inputs.T, outputs.T)], z

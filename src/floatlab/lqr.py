@@ -60,7 +60,11 @@ def lyapunov_solve(acl, q):
 
 @dataclass
 class RiccatiSolution:
-    """Nonnegative Riccati solution with its gain and diagnostics."""
+    """Nonnegative Riccati solution with its gain and diagnostics.
+
+    ``iterations`` counts Newton-Kleinman steps or sign-iteration steps,
+    whichever ``method`` ran.
+    """
 
     P: np.ndarray
     gain: np.ndarray
@@ -137,11 +141,13 @@ def _hamiltonian_sign(a, b, c, max_iter):
         [a, -np.outer(b, b)],
         [-np.outer(c, c), -a.T],
     ])
-    s = matrix_sign(ham, max_iter=max_iter)
+    s, steps = matrix_sign(ham, max_iter=max_iter)
     lhs = np.vstack([s[:m, m:], s[m:, m:] + np.eye(m)])
     rhs = -np.vstack([s[:m, :m] + np.eye(m), s[m:, :m]])
-    p, *_ = np.linalg.lstsq(lhs, rhs)
-    return 0.5 * (p + p.T)
+    # least squares on the full-column-rank (2m, m) system by a thin QR
+    q, r = sla.qr(lhs, mode="economic")
+    p = sla.solve_triangular(r, q.T @ rhs)
+    return 0.5 * (p + p.T), steps
 
 
 def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
@@ -169,8 +175,8 @@ def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
         if np.any(eigs.real >= 0):
             raise UnstableClosedLoop(
                 f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
-        p = _hamiltonian_sign(shifted, b, c, max_iter)
-        iterations, iterates = 0, []
+        p, iterations = _hamiltonian_sign(shifted, b, c, max_iter)
+        iterates = []
 
     return RiccatiSolution(p, b @ p, _full_residual(a, b, c, p), iterations, method,
                            kernel_dim=kernel_dim, iterates=iterates)

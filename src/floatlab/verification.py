@@ -410,7 +410,7 @@ def suite_lqr(params=sp.PhysicalParams(), n_side=48):
     """Riccati solvers: scalar and sign oracles, psd, residual, method agreement."""
     scalar = lqr_mod.care_solve((np.array([[-1.0]]), [1.0], [1.0]))
     scalar_err = float(abs(scalar.P[0, 0] - (math.sqrt(2.0) - 1.0)))
-    sign = matrix_sign(np.diag([-2.0, 3.0]))
+    sign, _ = matrix_sign(np.diag([-2.0, 3.0]))
     sign_err = float(np.abs(sign - np.diag([-1.0, 1.0])).max())
 
     grid = dz.default_grid(params, n_side=n_side)

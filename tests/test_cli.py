@@ -155,6 +155,17 @@ class TestLqrCommand:
         assert report["relative_gap"] <= 0.02
         assert report["optimal_is_best"] is True
 
+    def test_sign_method_reports_its_steps(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n_side": 24}, "time": {"dt": 0.2},
+                                   "lqr": {"method": "hamiltonian_sign"}}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "lqr",
+                         "--z0", "heave"]) == 0
+        report = json.loads((out / "lqr.json").read_text())
+        assert report["method"] == "hamiltonian_sign"
+        assert 1 <= report["iterations"] <= 12
+
 
 class TestVerifyCommand:
     def test_pass_reports_every_suite(self, tmp_path, small_config):

@@ -117,6 +117,31 @@ class TestStepperAgainstDense:
         assert np.abs(traj.inputs + reference @ gain).max() \
             <= 1e-12 * np.abs(reference @ gain).max()
 
+    @pytest.mark.parametrize("scheme,theta", SCHEMES)
+    def test_closed_loop_block(self, scheme, theta):
+        # the fused closed-loop step that simulate(gain=...) and feedback_costs
+        # share, on a (dim, 3) block: every column, every step, every input
+        system = small_system(24)
+        rng = np.random.default_rng(6)
+        gains = np.vstack([np.zeros(system.dim), 0.5 * system.C,
+                           0.5 * system.C + 0.1 * rng.standard_normal(system.dim)])
+        z0 = dz.heave_state(system.grid).flatten(system.grid)
+        dt, n_steps = 0.05, 60
+        feedback = dyn._Feedback(dyn.Stepper(system, dt, scheme), gains)
+        z = np.repeat(z0[:, None], 3, axis=1)
+        states, inputs = [z], [-gains @ z0]
+        for _ in range(n_steps):
+            z, u = feedback.step(z)
+            states.append(z)
+            inputs.append(u)
+        states, inputs = np.array(states), np.array(inputs)
+        assert states.shape == (n_steps + 1, system.dim, 3) and inputs.shape == (n_steps + 1, 3)
+        for j, gain in enumerate(gains):
+            reference = dense_reference(system, z0, dt, n_steps, theta, gain=gain)
+            assert self.relative(states[:, :, j], reference) <= 1e-12
+            u_ref = -reference @ gain
+            assert np.abs(inputs[:, j] - u_ref).max() <= 1e-12 * max(np.abs(u_ref).max(), 1.0)
+
     def test_singular_implicit_matrix(self):
         dt = 0.1
         with pytest.raises(SingularSystem):

@@ -7,15 +7,16 @@ from floatlab.errors import ImaginaryAxisEigenvalue
 
 class TestMatrixSign:
     def test_diagonal(self):
-        s = la.matrix_sign(np.diag([-2.0, 3.0]))
+        s, steps = la.matrix_sign(np.diag([-2.0, 3.0]))
         assert s == pytest.approx(np.diag([-1.0, 1.0]))
+        assert 1 <= steps <= 10
 
     def test_squares_to_identity(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((8, 8)) + 0.5 * np.eye(8)
         if np.any(np.abs(np.linalg.eigvals(a).real) < 1e-3):
             pytest.skip("random draw too close to the imaginary axis")
-        s = la.matrix_sign(a)
+        s, _ = la.matrix_sign(a)
         assert np.abs(s @ s - np.eye(8)).max() <= 1e-8
 
     def test_imaginary_axis_spectrum_rejected(self):
@@ -34,7 +35,24 @@ class TestMatrixSign:
         vals = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.1, 10.0, 40)
         a = vecs @ np.diag(vals) @ np.linalg.inv(vecs)
         expected = vecs @ np.diag(np.sign(vals)) @ np.linalg.inv(vecs)
-        assert np.abs(la.matrix_sign(a) - expected).max() <= 1e-9 * np.abs(expected).max()
+        assert np.abs(la.matrix_sign(a)[0] - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    def test_wide_eigenvalue_spread(self):
+        # eigenvalue moduli from 1e-4 to 1e2, the range of the Riccati Hamiltonian
+        rng = np.random.default_rng(7)
+        vecs = rng.standard_normal((40, 40)) + 4.0 * np.eye(40)
+        vals = rng.choice([-1.0, 1.0], 40) * np.logspace(-4.0, 2.0, 40)
+        a = vecs @ np.diag(vals) @ np.linalg.inv(vecs)
+        expected = vecs @ np.diag(np.sign(vals)) @ np.linalg.inv(vecs)
+        s, _ = la.matrix_sign(a)
+        assert np.abs(s - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        a = np.diag([-2.0, 3.0])
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            la.matrix_sign(a)
 
 
 class TestBinaryFormat:

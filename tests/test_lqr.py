@@ -228,6 +228,16 @@ class TestCareFullSystem:
             assert abs(solution.predicted_cost(v)) <= 1e-10
 
 
+class TestSignIteration:
+    def test_step_count_at_default_grid(self):
+        # Frobenius-norm scaling and the quadratic-phase stop take 11 steps
+        # on the Hamiltonian at the default n_side 100
+        system = dz.assemble(dz.default_grid(P11))
+        solution = lqr.care_solve(system, method="hamiltonian_sign")
+        assert 1 <= solution.iterations <= 12
+        assert solution.residual <= 1e-8 * (1.0 + np.linalg.norm(solution.P, "fro") ** 2)
+
+
 class TestCompareFeedbacks:
     def test_zero_initial_state_costs_nothing(self):
         system = small_system()
