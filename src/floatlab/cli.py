@@ -233,7 +233,6 @@ def cmd_lqr(cfg, out_dir, z0_spec="heave"):
         "predicted_cost": comparison.predicted_optimal,
         "simulated_cost": comparison.optimal_cost,
         "relative_gap": comparison.relative_gap,
-        "tail_fitted": comparison.tail_fitted,
         "tail_exact": comparison.tail_exact,
         "optimal_is_best": comparison.optimal_is_best,
     })

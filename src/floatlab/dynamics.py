@@ -1,4 +1,4 @@
-"""Time integration, energy bookkeeping and cost evaluation.
+"""Time integration, energy bookkeeping and finite-horizon costs.
 
 The semigroup is analytic, so the semi-discrete system is stiff and the
 schemes here are unconditionally stable implicit one-step methods:
@@ -14,7 +14,9 @@ feedbacks and the Riccati gain all step on the same kind of
 factorisation.  The adaptive horizon marches into one preallocated
 history with a single factorisation.  ``feedback_costs`` marches several
 feedback gains at once, as the columns of one block on one
-factorisation, and keeps only u and Hdot, which is all the cost reads.
+factorisation, and keeps only the running cost |u|^2 + |Hdot|^2; the
+cost beyond the horizon is priced by the caller from the final states
+(``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from .discretization import SemiDiscreteSystem, State, quadratic_forms
-from .errors import NonDecayingTail, SingularSystem
+from .errors import SingularSystem
 
 SCHEMES = ("trapezoidal", "implicit_euler")
 #: Rows per block of a quadratic form over the history: bounds its temporaries.
@@ -241,29 +243,26 @@ def simulate_adaptive(system, z0, dt, t_max, u=None, gain=None,
 
 
 def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
-    """Costs of the closed loops u = -K z from z0, one per row K of ``gains``.
+    """Costs over [0, T] of the closed loops u = -K z from z0, one per row K of ``gains``.
 
     The m loops march together as the columns of one (dim, m) block on a
     single factorisation: each step is one solve with m right-hand sides.
-    Only u and Hdot are kept, not the state history.  Returns one
-    CostReport per row and the final states z(T) as the columns of a
-    (dim, m) block.
+    Only the running cost |u|^2 + |Hdot|^2 is kept, not the state history.
+    Returns its m trapezoid integrals as an (m,) array and the final
+    states z(T) as the columns of a (dim, m) block.
     """
     if not (T > 0 and dt > 0):
         raise ValueError("T and dt must be positive")
     n_steps = int(round(T / dt))
     gains = np.atleast_2d(np.asarray(gains, dtype=float))
     z = np.repeat(state_vector(system, z0)[:, None], gains.shape[0], axis=1)
-    inputs = np.empty((n_steps + 1, gains.shape[0]))
-    outputs = np.empty_like(inputs)
-    inputs[0] = -np.vecdot(gains, z.T)
-    outputs[0] = system.C @ z
+    running = np.empty((n_steps + 1, gains.shape[0]))
+    running[0] = np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2
     feedback = _Feedback(Stepper(system, dt, scheme), gains)
     for k in range(1, n_steps + 1):
-        z, inputs[k] = feedback.step(z)
-        outputs[k] = system.C @ z
-    times = dt * np.arange(n_steps + 1)
-    return [_running_cost(times, u, y) for u, y in zip(inputs.T, outputs.T)], z
+        z, u = feedback.step(z)
+        running[k] = u ** 2 + (system.C @ z) ** 2
+    return np.trapezoid(running, dx=dt, axis=0), z
 
 
 @dataclass
@@ -313,67 +312,3 @@ def energy_balance_report(trajectory: Trajectory) -> EnergyBalanceReport:
     sink_mid = 0.5 * (sink[:-1] + sink[1:])
     max_defect = float(np.abs(lhs - rhs).max(initial=0.0))
     return EnergyBalanceReport(times_mid, lhs, rhs, sink_mid, max_defect)
-
-
-@dataclass
-class CostReport:
-    """Quadratic cost of a run: J = int |u|^2 + |Hdot|^2 dt plus a tail fit."""
-
-    J: float
-    u_part: float
-    y_part: float
-    horizon: float
-    tail_estimate: float
-
-    @property
-    def total(self) -> float:
-        """Finite-horizon cost plus the fitted infinite-horizon remainder."""
-        return self.J + self.tail_estimate
-
-
-def cost(trajectory: Trajectory) -> CostReport:
-    """Running cost of a trajectory (see ``_running_cost``)."""
-    return _running_cost(trajectory.times, trajectory.inputs, trajectory.outputs())
-
-
-def _running_cost(t, u, y) -> CostReport:
-    """Trapezoid quadrature of g = |u|^2 + |Hdot|^2, with an exponential tail fit.
-
-    ``u`` and ``y`` (Hdot) are sampled at the times ``t``.  The integrand
-    over the last quarter of the horizon is fit with a decaying
-    exponential; a fitted growth raises NonDecayingTail since the horizon
-    is then too short for the tail to mean anything.
-    """
-    g = u ** 2 + y ** 2
-    u_part = float(np.trapezoid(u ** 2, t))
-    y_part = float(np.trapezoid(y ** 2, t))
-    horizon = float(t[-1] - t[0])
-
-    tail = 0.0
-    j_finite = u_part + y_part
-    if g.max(initial=0.0) > 0:
-        sel = t >= t[0] + 0.75 * horizon
-        tt, gg = t[sel], g[sel]
-        # smooth over a quarter of the fit window so an oscillating
-        # integrand is judged by its envelope, not its ripple
-        window = max(1, gg.size // 4)
-        if window > 1:
-            kernel = np.full(window, 1.0 / window)
-            gg = np.convolve(gg, kernel, mode="valid")
-            tt = tt[window - 1:]
-        pos = gg > 1e-300
-        if pos.sum() >= 2:
-            slope = np.polyfit(tt[pos], np.log(gg[pos]), 1)[0]
-            # a fitted rise means "horizon too short" only while another
-            # horizon's worth at the current level would still move J;
-            # below that the residue is the checkerboard family, a grid
-            # artefact of the collocated stencil that B cannot reach
-            # (uncontrollable) and C barely sees (nearly unobservable), so
-            # no feedback damps it and its faint ripple sets the late slope
-            end_level = float(g[int(0.95 * (g.size - 1)):].max())
-            if slope > 1e-12 and end_level * horizon > 1e-2 * max(j_finite, 1e-300):
-                raise NonDecayingTail(
-                    f"running cost grows at fitted rate {slope:.3e}; extend the horizon")
-            if slope < 0:
-                tail = float(gg[-1] / (-slope))
-    return CostReport(j_finite, u_part, y_part, horizon, tail)

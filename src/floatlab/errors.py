@@ -45,10 +45,6 @@ class SingularSystem(FloatLabError):
     """Implicit time-stepping matrix is singular for the requested step."""
 
 
-class NonDecayingTail(FloatLabError):
-    """Cost-functional tail fit shows growth; the horizon is too short."""
-
-
 class UnstableClosedLoop(FloatLabError):
     """A closed-loop matrix required to be Hurwitz has an unstable eigenvalue."""
 

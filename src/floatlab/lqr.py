@@ -186,15 +186,17 @@ def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
 class FeedbackComparison:
     """Closed-loop cost table: the Riccati gain against energy feedbacks.
 
-    ``tail_fitted`` and ``tail_exact`` are the optimal loop's remaining cost
-    beyond the horizon: the exponential fit inside its J, and z(T)^T P z(T).
+    Each row's J is the cost over [0, T] plus z(T)^T P z(T), the Riccati
+    price of the state left at the horizon.  P is the minimal cost-to-go,
+    so J is the exact infinite-horizon cost of the optimal row (up to the
+    time step's error) and a lower bound, nondecreasing in T, for every
+    other row.  ``tail_exact`` is the optimal row's z(T)^T P z(T).
     """
 
     rows: list[dict]
     predicted_optimal: float
     optimal_cost: float
     optimal_is_best: bool
-    tail_fitted: float = 0.0
     tail_exact: float = 0.0
 
     @property
@@ -218,18 +220,20 @@ def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
 
     All the closed loops march together over the same horizon, as the
     columns of one block on a single factorisation (``feedback_costs``),
-    and keep only u and Hdot; costs include the fitted tail remainder.
-    The optimal row also records the Riccati-predicted cost <P z0, z0>;
-    its relative gap is the table's.
+    and keep only the running cost; each J adds z(T)^T P z(T).  The
+    optimal row also records the Riccati-predicted cost <P z0, z0>; its
+    relative gap is the table's.  The optimal row is best when its exact
+    cost is within 1e-6 relative (plus 1e-12) of the least lower bound of
+    the energy rows.
     """
     gains = np.vstack([riccati.gain] + [alpha * system.C for alpha in alpha_grid])
-    (optimal, *energy), z_end = feedback_costs(system, z0, gains, T, dt)
+    horizon, z_end = feedback_costs(system, z0, gains, T, dt)
+    tails = np.vecdot(z_end, riccati.P @ z_end, axis=0)
+    costs = horizon + tails
     predicted = riccati.predicted_cost(state_vector(system, z0))
-    rows = [{"controller": "optimal", "J": optimal.total, "predicted": predicted}]
-    rows += [{"controller": f"alpha={alpha:g}", "J": report.total}
-             for alpha, report in zip(alpha_grid, energy)]
-    best = (optimal.total <= min((r.total for r in energy), default=np.inf) * (1.0 + 1e-6)
-            + 1e-12)
-    return FeedbackComparison(rows, predicted, optimal.total, best,
-                              tail_fitted=optimal.tail_estimate,
-                              tail_exact=riccati.predicted_cost(z_end[:, 0]))
+    rows = [{"controller": "optimal", "J": float(costs[0]), "predicted": predicted}]
+    rows += [{"controller": f"alpha={alpha:g}", "J": float(j)}
+             for alpha, j in zip(alpha_grid, costs[1:])]
+    best = bool(costs[0] <= costs[1:].min(initial=np.inf) * (1.0 + 1e-6) + 1e-12)
+    return FeedbackComparison(rows, predicted, float(costs[0]), best,
+                              tail_exact=float(tails[0]))

@@ -77,13 +77,16 @@ def wave_packet_pair(grid, rng, n_packets=2):
     """Random sum of Gaussian wave packets on both sides, with derivative.
 
     Packets are centred well inside the exterior (|x| in [4.5, 6.5]a),
-    wide enough to be resolved on the default grid, and carry a slow
-    carrier wave; returns nodal values and nodal derivatives as
-    (f_left, fp_left, f_right, fp_right).
+    with widths in [2.2, 3.0]a, wide enough to be resolved on the default
+    grid, and carry a slow carrier wave; returns nodal values and nodal
+    derivatives as (f_left, fp_left, f_right, fp_right).
     """
+    a = grid.params.a
+
     def params():
-        return [(rng.uniform(0.5, 1.0), rng.uniform(4.5, 6.5), rng.uniform(2.2, 3.0),
-                 rng.uniform(0.05, 0.15), rng.uniform(0, 2 * math.pi))
+        return [(rng.uniform(0.5, 1.0), a * rng.uniform(4.5, 6.5),
+                 a * rng.uniform(2.2, 3.0), rng.uniform(0.05, 0.15),
+                 rng.uniform(0, 2 * math.pi))
                 for _ in range(n_packets)]
 
     def sample(pk, sgn, xs):

@@ -257,6 +257,36 @@ class TestCompareFeedbacks:
         assert table.rows[0]["controller"] == "optimal"
         assert len(table.rows) == 6
 
+    def test_optimal_cost_does_not_depend_on_the_horizon(self):
+        # J_T + z(T)^T P z(T) = z0^T P z0 + int |u + B^T P z|^2 is flat in T
+        # for the Riccati gain
+        system = small_system(32)
+        solution = lqr.care_solve(system)
+        z0 = dz.heave_state(system.grid)
+        short, long = (lqr.compare_feedbacks(system, z0, (), solution, T=T, dt=0.05)
+                       for T in (10.0, 120.0))
+        assert short.optimal_cost == pytest.approx(long.optimal_cost, rel=1e-5)
+
+    def test_energy_rows_are_nondecreasing_lower_bounds(self):
+        system = small_system(32)
+        solution = lqr.care_solve(system)
+        z0 = dz.heave_state(system.grid)
+        costs = np.array([
+            [row["J"] for row in lqr.compare_feedbacks(
+                system, z0, (0.25, 1.0, 4.0), solution, T=T, dt=0.05).rows[1:]]
+            for T in (10.0, 20.0, 60.0, 120.0)])
+        assert np.all(np.diff(costs, axis=0) >= -1e-9 * costs[:-1])
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+    def test_riccati_solution_is_below_every_energy_cost(self, alpha):
+        # the Loewner order X_alpha >= P that makes the energy rows lower bounds
+        system = small_system(24)
+        solution = lqr.care_solve(system)
+        shifted, _ = lqr.deflate_zero_modes(system.A, system.B, system.C, system.kernel)
+        x = lqr.lyapunov_solve(shifted - alpha * np.outer(system.B, system.C),
+                               (1.0 + alpha ** 2) * np.outer(system.C, system.C))
+        assert np.linalg.eigvalsh(x - solution.P).min() >= -1e-12 * np.linalg.norm(x, 2)
+
     def test_one_factorisation_and_no_history(self, monkeypatch):
         # the default lqr comparison: six loops over 12,000 steps at dim 399
         system = small_system(100)
@@ -281,7 +311,7 @@ class TestCompareFeedbacks:
         history = 12_001 * system.dim * 8
         assert peak <= 0.25 * history
         assert table.optimal_is_best
-        assert 0.0 < table.tail_exact and 0.0 < table.tail_fitted
+        assert 0.0 < table.tail_exact
 
     def test_csv_export(self, tmp_path):
         system = small_system(32)

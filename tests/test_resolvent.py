@@ -237,3 +237,10 @@ class TestResolventApply:
         rng = np.random.default_rng(4)
         defect = vf.resolvent_defect(system, 2 + 2j, vf.random_resolvent_input(grid, rng))
         assert defect <= 5e-3
+
+    def test_suite_passes_at_half_radius(self):
+        # the wave packets scale with a, so at a = 0.5 (L = 10) they stay
+        # clear of the truncation boundary
+        report = vf.suite_resolvent(PhysicalParams(0.5, 1.0))
+        assert report["max_consistency_defect"] <= vf.RESOLVENT_DEFECT
+        assert report["passed"]
