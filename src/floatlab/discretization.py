@@ -456,11 +456,6 @@ def quadratic_forms(grid: Grid):
     return W.tocsr(), G.tocsr(), diagonal(fluxes, sink).tocsr()
 
 
-def energy_matrix(grid: Grid) -> np.ndarray:
-    """Symmetric psd matrix W with energy(z) = 0.5 * z^T W z, dense."""
-    return quadratic_forms(grid)[0].toarray()
-
-
 @dataclass(frozen=True)
 class PressureProfile:
     """Quadratic pressure profile p(x) = c2 x^2 + c1 x + c0 under the solid."""

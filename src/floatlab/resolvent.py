@@ -150,17 +150,12 @@ def helmholtz_particular(side, omega, phi: HalfLineFunction) -> HalfLineFunction
     return out if side == "right" else _reflected(out)
 
 
-def helmholtz_halfline(side, omega, gamma, phi: HalfLineFunction) -> HalfLineFunction:
-    """Solve -q'' + omega^2 q = phi with boundary value gamma, decaying."""
-    q, _ = helmholtz_halfline_with_derivative(side, omega, gamma, phi)
-    return q
-
-
 def helmholtz_halfline_with_derivative(side, omega, gamma, phi):
-    """As :func:`helmholtz_halfline`, also returning dq/dx.
+    """Solve -q'' + omega^2 q = phi with boundary value gamma, decaying.
 
-    The derivative comes from the closed-form differentiated kernel
-    expressions, not from finite differences of the solution.
+    Returns q and dq/dx.  The derivative comes from the closed-form
+    differentiated kernel expressions, not from finite differences of
+    the solution.
     """
     omega = _require_decaying(omega)
     if phi.side != side:

@@ -17,7 +17,6 @@ can be assembled.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,33 +46,6 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class SectorTheta:
-    """A sector arg(lambda) in (-pi/2 - theta, pi/2 + theta) with a radius floor.
-
-    ``radius_threshold`` is the sampled stand-in for the (unquantified)
-    radius beyond which the sector bounds are asserted; by default the
-    explicit constant 4/(mu*(1 - sin(theta))) is used.
-    """
-
-    theta: float
-    radius_threshold: float
-
-    def __post_init__(self):
-        if not 0 <= self.theta < math.pi / 2:
-            raise ValueError(f"theta must lie in [0, pi/2), got {self.theta}")
-        if not self.radius_threshold > 0:
-            raise ValueError("radius_threshold must be positive")
-
-    @classmethod
-    def with_default_radius(cls, theta, params):
-        return cls(theta, 4.0 / (params.mu * (1.0 - math.sin(theta))))
-
-    def contains(self, lam: complex) -> bool:
-        # closed sector: the bounds extend to the boundary rays by continuity
-        return abs(cmath.phase(lam)) <= math.pi / 2 + self.theta
-
-
-@dataclass(frozen=True)
 class SingularSet:
     """Isolated points where the 2x2 boundary-trace matrix is singular."""
 
@@ -88,44 +60,21 @@ def _ratio(lam: complex, params: PhysicalParams) -> complex:
     return lam * lam / (1.0 + params.mu * lam)
 
 
-def branch_cut_characterizations(lam, params, rtol=MEMBERSHIP_RTOL):
-    """Both membership tests for the square-root branch-cut set.
-
-    Returns ``(geometric, ratio_sign)`` where
-
-    * ``geometric`` is true iff lambda lies (within ``rtol``, relative to
-      the scale 1/mu) on the open half-line (-inf, -1/mu) or on the
-      circle |lambda + 1/mu| = 1/mu;
-    * ``ratio_sign`` is true iff lambda^2/(1 + mu*lambda) is negative
-      real within the same relative tolerance.
-
-    The two characterizations are equivalent in exact arithmetic; away
-    from the tolerance boundary they agree in floating point as well.
-    """
-    mu = params.mu
-    scale = 1.0 / mu
-    if lam == 0 or lam == -scale:
-        raise DegenerateLambda(f"lambda={lam} is a degenerate point")
-
-    on_halfline = abs(lam.imag) <= rtol * max(abs(lam), scale) and lam.real < -scale
-    on_circle = abs(abs(lam + scale) - scale) <= rtol * scale
-    geometric = on_halfline or on_circle
-
-    z = _ratio(lam, params)
-    ratio_sign = z.real < 0 and abs(z.imag) <= rtol * abs(z)
-    return geometric, ratio_sign
-
-
 def on_branch_cut(lam, params, rtol=MEMBERSHIP_RTOL) -> bool:
     """True iff lambda belongs to the branch-cut set of the square root.
 
     The set consists of the half-line (-inf, -1/mu) and the circle
-    |lambda + 1/mu| = 1/mu; on it lambda^2/(1 + mu*lambda) is negative
-    real and the principal square root has no positive real part.
+    |lambda + 1/mu| = 1/mu, each within ``rtol`` relative to the scale
+    1/mu (to max(|lambda|, 1/mu) on the half-line); on it
+    lambda^2/(1 + mu*lambda) is negative real and the principal square
+    root has no positive real part.
     Raises DegenerateLambda for lambda in {0, -1/mu}.
     """
-    geometric, _ = branch_cut_characterizations(lam, params, rtol)
-    return geometric
+    scale = 1.0 / params.mu
+    if lam == 0 or lam == -scale:
+        raise DegenerateLambda(f"lambda={lam} is a degenerate point")
+    on_halfline = abs(lam.imag) <= rtol * max(abs(lam), scale) and lam.real < -scale
+    return on_halfline or abs(abs(lam + scale) - scale) <= rtol * scale
 
 
 def helmholtz_omega(lam, params) -> complex:
@@ -163,24 +112,28 @@ def coupling_matrix_inverse(params) -> np.ndarray:
     return np.array([[diag, off], [off, diag]])
 
 
-def boundary_system_matrix(lam, params) -> np.ndarray:
-    """Symmetric 2x2 matrix of the boundary-trace system at frequency lambda.
+def boundary_system_entries(lam, omega, params):
+    """Diagonal and off-diagonal entry of the boundary-trace matrix, elementwise.
 
-    Solving the resolvent reduces, after eliminating the half-line
-    Helmholtz problems, to a 2x2 linear system for the fluxes at -a and
-    +a; this is its matrix.  Diagonal entries read
-
-        lambda*(1 + 8a^3/3) + 2a*(mu + 1/lambda) + 4a^2*lambda/omega,
-
-    and off-diagonal entries -lambda*(1 - 4a^3/3) - 2a*(mu + 1/lambda).
+    diag = lambda*(1 + 8a^3/3) + 2a*(mu + 1/lambda) + 4a^2*lambda/omega,
+    off = -lambda*(1 - 4a^3/3) - 2a*(mu + 1/lambda).
     """
-    lam = complex(lam)
-    omega = helmholtz_omega(lam, params)
     a = params.a
     a3 = a**3
     diag = lam * (1.0 + 8.0 * a3 / 3.0) + 2.0 * a * (params.mu + 1.0 / lam) \
         + 4.0 * a * a * lam / omega
     off = -lam * (1.0 - 4.0 * a3 / 3.0) - 2.0 * a * (params.mu + 1.0 / lam)
+    return diag, off
+
+
+def boundary_system_matrix(lam, params) -> np.ndarray:
+    """Symmetric 2x2 matrix of the boundary-trace system at frequency lambda.
+
+    Solving the resolvent reduces, after eliminating the half-line
+    Helmholtz problems, to this 2x2 linear system for the fluxes at -a, +a.
+    """
+    lam = complex(lam)
+    diag, off = boundary_system_entries(lam, helmholtz_omega(lam, params), params)
     return np.array([[diag, off], [off, diag]])
 
 
@@ -267,125 +220,6 @@ def spectrum_distance(lam, params, singular: SingularSet | None = None) -> float
     # circle of radius 1/mu centred at -1/mu
     dists.append(abs(abs(lam + 1.0 / mu) - 1.0 / mu))
     return min(dists)
-
-
-def sector_grid(sector: SectorTheta, n_angles=64, n_radii=40, radius_max=1e6,
-                radius_min=None) -> np.ndarray:
-    """Log-radial sampling grid of a sector, endpoints of the arc excluded.
-
-    Radii run logarithmically from ``radius_min`` (default: the sector's
-    radius threshold) to ``radius_max``; angles stay strictly inside the
-    open sector.
-    """
-    if radius_min is None:
-        radius_min = sector.radius_threshold
-    half_open = math.pi / 2 + sector.theta
-    pad = half_open / (n_angles + 1)
-    angles = np.linspace(-half_open + pad, half_open - pad, n_angles)
-    radii = np.logspace(math.log10(radius_min), math.log10(radius_max), n_radii)
-    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-
-
-@dataclass
-class SweepReport:
-    """Result of a sampled verification sweep over the complex plane.
-
-    ``samples`` holds one record per lambda; ``bound`` and ``value`` are
-    the headline threshold and measured quantity of the sweep; ``passed``
-    is the overall verdict.
-    """
-
-    samples: list[dict]
-    bound: float
-    value: float
-    passed: bool
-
-
-def sector_decay_bound_check(lambdas, params, sector: SectorTheta) -> SweepReport:
-    """Verify Re(omega) >= (1/4)*sqrt(|lambda|*(1-sin(theta))/mu) on samples.
-
-    Samples outside the sector or below the radius threshold are skipped
-    and recorded as such; the sweep passes iff every retained sample
-    satisfies the bound.
-    """
-    mu = params.mu
-    sin_t = math.sin(sector.theta)
-    floor = 4.0 / (mu * (1.0 - sin_t))
-    samples = []
-    worst = math.inf
-    all_ok = True
-    for lam in np.atleast_1d(np.asarray(lambdas, dtype=complex)):
-        lam = complex(lam)
-        rec = {"re_lambda": lam.real, "im_lambda": lam.imag}
-        if not sector.contains(lam) or abs(lam) < floor:
-            rec.update(re_omega=math.nan, bound=math.nan, skipped=True, **{"pass": True})
-            samples.append(rec)
-            continue
-        omega = helmholtz_omega(lam, params)
-        bound = 0.25 * math.sqrt(abs(lam) * (1.0 - sin_t) / mu)
-        ok = omega.real >= bound
-        worst = min(worst, omega.real - bound)
-        all_ok = all_ok and ok
-        rec.update(re_omega=omega.real, bound=bound, **{"pass": ok}, skipped=False)
-        samples.append(rec)
-    if not math.isfinite(worst):
-        worst = 0.0  # vacuous sweep: nothing retained
-    return SweepReport(samples, bound=0.0, value=worst, passed=all_ok)
-
-
-def sector_boundary_matrix_bound_check(lambdas, params, sector: SectorTheta,
-                                       trend_tol=1.1) -> SweepReport:
-    """Empirical boundedness of ||lambda * M_lambda^{-1}|| over a sector.
-
-    Records the spectral norm per sample and compares the supremum over
-    the outer half of the radii against the inner half: a trend ratio
-    <= ``trend_tol`` indicates the quantity stays bounded as |lambda|
-    grows.  Samples where the matrix is numerically singular are
-    excluded and flagged.
-    """
-    retained = []
-    samples = []
-    for lam in np.atleast_1d(np.asarray(lambdas, dtype=complex)):
-        lam = complex(lam)
-        rec = {"re_lambda": lam.real, "im_lambda": lam.imag}
-        if not sector.contains(lam) or abs(lam) < sector.radius_threshold:
-            rec.update(re_omega=math.nan, bound=math.nan, skipped=True, **{"pass": True})
-            samples.append(rec)
-            continue
-        omega = helmholtz_omega(lam, params)
-        m = boundary_system_matrix(lam, params)
-        try:
-            inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            rec.update(re_omega=omega.real, bound=math.nan, skipped=True,
-                       singular=True, **{"pass": True})
-            samples.append(rec)
-            continue
-        norm = float(np.linalg.norm(lam * inv, 2))
-        if not np.isfinite(norm) or norm > 1e14:
-            rec.update(re_omega=omega.real, bound=math.nan, skipped=True,
-                       singular=True, **{"pass": True})
-            samples.append(rec)
-            continue
-        retained.append((abs(lam), norm))
-        rec.update(re_omega=omega.real, bound=norm, **{"pass": True}, skipped=False)
-        samples.append(rec)
-
-    if not retained:
-        return SweepReport(samples, bound=trend_tol, value=1.0, passed=True)
-    retained.sort(key=lambda t: t[0])
-    if len(retained) == 1:
-        ratio = 1.0
-    else:
-        half = len(retained) // 2
-        sup_inner = max(norm for _, norm in retained[:half])
-        sup_outer = max(norm for _, norm in retained[half:])
-        ratio = sup_outer / sup_inner
-    passed = ratio <= trend_tol
-    for rec in samples:
-        if not rec.get("skipped", False):
-            rec["pass"] = passed
-    return SweepReport(samples, bound=trend_tol, value=ratio, passed=passed)
 
 
 def boundary_system_determinant(lam, params) -> complex:

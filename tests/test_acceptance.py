@@ -1,35 +1,25 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
+Criteria 1-11 take their verdicts from the ``floatlab.verification``
+suites that ``verify`` runs, and read their bounds from that module.
 Every test prints one PASS/FAIL line (visible under ``pytest -s``) before
 asserting, so a suite run yields a one-line verdict per criterion.
 """
 
 import json
-import math
 
-import numpy as np
 import pytest
 
 from floatlab import cli
-from floatlab import discretization as dz
-from floatlab import dynamics as dyn
-from floatlab import lqr
 from floatlab import spectral as sp
 from floatlab import verification as vf
 
 P11 = sp.PhysicalParams(1.0, 1.0)
-LAMBDAS = (1.0, 2 + 2j, 0.5 - 3j)
 
 
 def verdict(num, ok, detail):
     print(f"ACCEPTANCE {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def default_system(sponge=True, n_side=100):
-    grid = dz.default_grid(P11, n_side=n_side) if sponge \
-        else dz.build_grid(P11, 20.0, n_side)
-    return dz.assemble(grid)
 
 
 def test_criterion_01_coupling_matrix_inverse():
@@ -64,70 +54,32 @@ def test_criterion_04_halfline_oracle_and_order(halfline):
     verdict(4, halfline["passed"],
             f"half-line solve: oracle error {halfline['oracle_max_error']:.2e} <= "
             f"{vf.HALFLINE_ORACLE:.0e}, orders {orders[0]:.2f}/{orders[1]:.2f} "
-            f">= {vf.HALFLINE_ORDER}")
+            f">= {vf.CONVERGENCE_ORDER}")
 
 
 def test_criterion_05_resolvent_consistency():
-    system = default_system(sponge=False)
-    worst_defect = 0.0
-    for lam in LAMBDAS:
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            inp = vf.random_resolvent_input(system.grid, rng)
-            worst_defect = max(worst_defect, vf.resolvent_defect(system, lam, inp))
-    worst_order = math.inf
-    systems = {n: dz.assemble(dz.build_grid(P11, 30.0, n)) for n in (152, 303)}
-    for lam in LAMBDAS:
-        defects = {}
-        for n, sys_n in systems.items():
-            rng = np.random.default_rng(11)
-            defects[n] = [vf.resolvent_defect(sys_n, lam,
-                                              vf.random_resolvent_input(sys_n.grid, rng))
-                          for _ in range(5)]
-        worst_order = min(worst_order,
-                          min(math.log2(a / b)
-                              for a, b in zip(defects[152], defects[303])))
-    ok = worst_defect <= vf.RESOLVENT_DEFECT and worst_order >= 1.7
-    verdict(5, ok, f"resolvent consistency: worst defect {worst_defect:.2e} <= "
-                   f"{vf.RESOLVENT_DEFECT:.0e}, "
-                   f"worst order {worst_order:.2f} >= 1.7")
+    report = vf.suite_resolvent_consistency(P11)
+    verdict(5, report["passed"],
+            f"resolvent consistency: worst defect {report['max_consistency_defect']:.2e} "
+            f"<= {vf.RESOLVENT_DEFECT:.0e}, worst order {report['min_order']:.2f} "
+            f">= {vf.CONVERGENCE_ORDER}")
 
 
-def test_criterion_06_sector_decay_bound():
-    violations = 0
-    total = 0
-    for theta in (0.0, math.pi / 6, math.pi / 3):
-        sector = sp.SectorTheta.with_default_radius(theta, P11)
-        lams = sp.sector_grid(sector, n_angles=64, n_radii=40, radius_max=1e6)
-        report = sp.sector_decay_bound_check(lams, P11, sector)
-        checked = [s for s in report.samples if not s["skipped"]]
-        total += len(checked)
-        violations += sum(1 for s in checked if not s["pass"])
-    verdict(6, violations == 0,
-            f"sector square-root bound: {violations} violations over {total} samples")
+@pytest.fixture(scope="module")
+def sector():
+    return vf.suite_sector(P11)
 
 
-def test_criterion_07_uniform_resolvent_bounds():
-    sector = sp.SectorTheta.with_default_radius(math.pi / 4, P11)
-    lams = sp.sector_grid(sector, n_angles=64, n_radii=40,
-                          radius_min=1e2, radius_max=1e6)
-    report = sp.sector_boundary_matrix_bound_check(lams, P11, sector)
+def test_criterion_06_sector_decay_bound(sector):
+    verdict(6, sector["passed"],
+            f"sector square-root bound: {sector['decay_violations']} violations over "
+            f"{sector['decay_samples']} samples")
 
-    system = default_system(sponge=True)
-    eye = np.eye(system.dim)
-    radii = np.logspace(2, 6, 10)
-    norms = []
-    for rho in radii:
-        for angle in (-math.pi / 3, math.pi / 3):
-            lam = rho * np.exp(1j * angle)
-            res = np.linalg.solve(lam * eye - system.A, eye)
-            norms.append((rho, float(np.linalg.norm(lam * res, 2))))
-    half = len(norms) // 2
-    norms.sort(key=lambda t: t[0])
-    op_ratio = max(v for _, v in norms[half:]) / max(v for _, v in norms[:half])
-    ok = report.passed and report.value <= 1.1 and op_ratio <= 1.1
-    verdict(7, ok, f"uniform bounds: trace-matrix trend {report.value:.3f}, "
-                   f"operator trend {op_ratio:.3f}, both <= 1.1")
+
+def test_criterion_07_uniform_resolvent_bounds(sector):
+    verdict(7, sector["passed"],
+            f"uniform bounds: trace-matrix trend {sector['trace_matrix_trend']:.3f}, "
+            f"operator trend {sector['operator_trend']:.3f}, both <= {vf.SECTOR_TREND}")
 
 
 def test_criterion_08_spectrum_structure():
@@ -138,60 +90,33 @@ def test_criterion_08_spectrum_structure():
             f"{disc['equilibrium_defect']:.2e}, {boundary['singular_count']} singular points")
 
 
-def test_criterion_09_energy_identity():
-    defects = []
-    monotone = True
-    for n, dt in ((100, 1e-3), (199, 5e-4)):
-        system = dz.assemble(dz.default_grid(P11, n_side=n))
-        traj = dyn.simulate(system, dz.bump_state(system.grid), T=1.0, dt=dt)
-        defects.append(dyn.energy_balance_report(traj).max_defect)
-        monotone &= bool(np.all(np.diff(traj.energies) <= 1e-10 * traj.energies[0]))
-    order = math.log2(defects[0] / defects[1])
-    ok = defects[0] <= 1e-3 and order >= 1.7 and monotone
-    verdict(9, ok, f"energy identity: defect {defects[0]:.2e} <= 1e-3, order "
-                   f"{order:.2f} >= 1.7, energy monotone: {monotone}")
+@pytest.fixture(scope="module")
+def dynamics():
+    return vf.suite_dynamics(P11)
+
+
+def test_criterion_09_energy_identity(dynamics):
+    verdict(9, dynamics["passed"],
+            f"energy identity: defect {dynamics['identity_defect']:.2e} <= "
+            f"{vf.ENERGY_DEFECT:.0e}, order {dynamics['identity_order']:.2f} >= "
+            f"{vf.CONVERGENCE_ORDER}, energy monotone: {dynamics['identity_monotone']}")
 
 
 def test_criterion_10_riccati_and_optimality():
-    scalar = lqr.care_solve((np.array([[-1.0]]), [1.0], [1.0]))
-    scalar_err = float(abs(scalar.P[0, 0] - (math.sqrt(2.0) - 1.0)))
-
-    system = default_system(sponge=True)
-    nk = lqr.care_solve(system)
-    hs = lqr.care_solve(system, method="hamiltonian_sign")
-    rel = float(np.linalg.norm(nk.P - hs.P, "fro") / np.linalg.norm(nk.P, "fro"))
-    sym = float(np.abs(nk.P - nk.P.T).max())
-    min_eig = float(np.linalg.eigvalsh(nk.P).min())
-
-    # each simulated optimal cost carries its exact tail z(T)^T P z(T)
-    table = lqr.compare_feedbacks(system, dz.heave_state(system.grid),
-                                  (0.25, 0.5, 1.0, 2.0, 4.0), nk, T=240.0, dt=0.03)
-    worst_gap = table.relative_gap
-    for name in ("bump", "flow"):
-        z0 = dz.preset_state(system.grid, name)
-        gap = lqr.compare_feedbacks(system, z0, (), nk, T=240.0, dt=0.03).relative_gap
-        worst_gap = max(worst_gap, gap)
-    ok = (scalar_err <= 1e-12 and nk.residual <= 1e-8 and sym <= 1e-10
-          and min_eig >= -1e-10 * np.linalg.norm(nk.P, 2) and rel <= vf.METHOD_GAP
-          and worst_gap <= 0.02 and table.optimal_is_best)
-    verdict(10, ok, f"riccati: scalar error {scalar_err:.1e} <= 1e-12, residual "
-                    f"{nk.residual:.1e} <= 1e-8, methods differ {rel:.1e} <= "
-                    f"{vf.METHOD_GAP:.0e}, "
-                    f"cost gap {worst_gap:.2%} <= 2%, optimal beats energy "
-                    f"feedbacks: {table.optimal_is_best}")
+    report = vf.suite_lqr(P11, n_side=100)
+    worst_gap = max(report[f"{name}_cost_gap"] for name in ("heave", "bump", "flow"))
+    verdict(10, report["passed"],
+            f"riccati: scalar error {report['scalar_error']:.1e} <= {vf.ROUNDOFF:.0e}, "
+            f"residual {report['residual']:.1e} <= {vf.RICCATI_RESIDUAL:.0e}, methods "
+            f"differ {report['method_relative_gap']:.1e} <= {vf.METHOD_GAP:.0e}, "
+            f"cost gap {worst_gap:.2%} <= {vf.COST_GAP:.0%}, optimal beats energy "
+            f"feedbacks: {report['optimal_is_best']}")
 
 
-def test_criterion_11_output_stability_surrogate():
-    system = default_system(sponge=True)
-    z0 = dz.heave_state(system.grid)
-    traj = dyn.simulate(system, z0, T=60.0, dt=0.02, gain=system.C)
-    hdot = traj.outputs()
-    steps = 0.5 * np.diff(traj.times) * (hdot[:-1] ** 2 + hdot[1:] ** 2)
-    cumulative = np.concatenate([[0.0], np.cumsum(steps)])
-    margin = float((traj.energies[0] - cumulative).min())
-    verdict(11, margin >= -1e-9 * traj.energies[0],
-            f"output-energy inequality: E(0) - int(Hdot^2) >= {margin:.3e} "
-            f"at every recorded horizon")
+def test_criterion_11_output_stability_surrogate(dynamics):
+    verdict(11, dynamics["passed"],
+            f"output-energy inequality: E(0) - int(Hdot^2) >= "
+            f"{dynamics['output_energy_margin']:.3e} at every recorded horizon")
 
 
 def test_criterion_12_verify_determinism(tmp_path):

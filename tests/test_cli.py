@@ -167,14 +167,30 @@ class TestLqrCommand:
         assert 1 <= report["iterations"] <= 12
 
 
+#: The verification suites each acceptance criterion from 1 to 11 asserts on.
+CRITERION_SUITES = {1: {"coupling_matrix"}, 2: {"branch_cut"}, 3: {"halfline_operators"},
+                    4: {"halfline_operators"}, 5: {"resolvent_consistency"},
+                    6: {"sector"}, 7: {"sector"}, 8: {"discretization", "boundary_matrix"},
+                    9: {"dynamics"}, 10: {"lqr"}, 11: {"dynamics"}}
+
+
 class TestVerifyCommand:
-    def test_pass_reports_every_suite(self, tmp_path, small_config):
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
         # byte determinism of the report is criterion 12's pair of runs
-        assert cli.main(["--config", str(small_config), "--out", str(tmp_path),
-                         "--seed", "5", "verify"]) == 0
-        report = json.loads((tmp_path / "verify.json").read_text())
+        out = tmp_path_factory.mktemp("verify")
+        assert cli.main(["--out", str(out), "--seed", "5", "verify"]) == 0
+        return json.loads((out / "verify.json").read_text())
+
+    def test_pass_reports_every_suite(self, report):
         assert report["all_passed"] is True
-        assert len(report["suites"]) == 9
+        assert len(report["suites"]) == 11
+
+    def test_every_criterion_has_a_suite(self, report):
+        names = {suite["name"] for suite in report["suites"]}
+        assert sorted(CRITERION_SUITES) == list(range(1, 12))
+        for criterion, suites in CRITERION_SUITES.items():
+            assert suites <= names, criterion
 
     def test_fault_injection_fails(self, tmp_path, small_config, capsys, monkeypatch):
         # the injected fault lives in the coupling suite; the others need not run

@@ -238,7 +238,7 @@ class TestEnergy:
 
     def test_quadratic_form_matches_direct_evaluation(self):
         grid = dz.default_grid(P11, n_side=24)
-        w = dz.energy_matrix(grid)
+        w = dz.quadratic_forms(grid)[0].toarray()
         assert np.abs(w - w.T).max() == 0.0
         assert np.linalg.eigvalsh(w).min() >= 0.0
         rng = np.random.default_rng(3)
