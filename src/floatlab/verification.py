@@ -407,6 +407,8 @@ def suite_resolvent_consistency(params=sp.PhysicalParams()):
 
 def sector_floor(theta, params):
     """Radius 4/(mu (1 - sin theta)) beyond which the sector bounds are asserted."""
+    if not 0.0 <= theta < math.pi / 2:
+        raise ValueError(f"sector angle must lie in [0, pi/2), got {theta}")
     return 4.0 / (params.mu * (1.0 - math.sin(theta)))
 
 

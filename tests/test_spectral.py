@@ -19,6 +19,13 @@ class TestParams:
         with pytest.raises(ValueError):
             sp.PhysicalParams(1.0, 0.0)
 
+    def test_sector_angle_range(self):
+        with pytest.raises(ValueError):
+            vf.sector_floor(math.pi / 2, P11)
+        with pytest.raises(ValueError):
+            vf.sector_floor(-0.1, P11)
+        assert vf.sector_floor(0.0, P11) == pytest.approx(4.0)
+
 
 class TestBranchCut:
     def test_negative_real_axis_beyond_pole(self):
