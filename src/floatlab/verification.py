@@ -54,9 +54,19 @@ COST_GAP = 0.02
 SINGULAR_RESIDUAL = 1e-8
 
 
-def _n_side(n_side, a):
-    """Nodes per side that keep the a = 1 spacing on a domain ~ a, never fewer."""
-    return max(n_side, math.ceil(1 + (n_side - 1) * a))
+def _resolvent_grid(params, length, n_side):
+    """The (a, mu) = (1, 1) grid (length, n_side), carried over to ``params``.
+
+    L is stretched by ell = max(a, sqrt((1 + mu)/2)) to hold as many decay
+    lengths 1/Re omega(1) = sqrt(1 + mu); the spacing is refined, never
+    coarsened, for wave packets ~ a and |omega| ~ 1/sqrt(mu) (saturating
+    at mu = 0.1).
+    """
+    a, mu = params.a, params.mu
+    ell = max(a, math.sqrt((1.0 + mu) / 2.0))
+    scale = ell / (min(a, 1.0) * math.sqrt(min(max(mu, 0.1), 1.0)))
+    n_side = max(n_side, math.ceil(1 + (n_side - 1) * scale))
+    return dz.build_grid(params, length * ell, n_side)
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +76,20 @@ def _n_side(n_side, a):
 def branch_cut_samples(params, n_total, rng):
     """Sample frequencies for the two-characterization agreement check.
 
-    Half the samples sit on or near the excluded set (circle and
-    half-line, split evenly; "near" means a clear 1e-6..1e-1 offset,
-    outside the membership tolerance band); the other half fills a box
-    around the origin.  The circle angles avoid the tangency point at
-    the origin where float rounding would make membership ill-posed.
-    lam^2/(1 + mu*lam) is stationary at -2/mu, where circle and half-line
-    meet, so there the ratio test's band is |delta*eta| <~ 2*rtol/mu^2 for
-    lam = -2/mu + delta + i*eta; off-set draws within ten times it are redrawn.
+    Half the samples sit on or near the excluded set (circle and half-line,
+    split evenly; "near" means a clear 1e-6..1e-1 offset relative to
+    max(1, 1/mu), outside the membership tolerance band); the other half
+    fills a box around the origin.  Circle angles avoid the tangency at 0.
+    Within 1/(2 mu) of -2/mu, where lam^2/(1 + mu*lam) is stationary, the
+    ratio test's band widens to |delta*eta| <~ 2*rtol/mu^2 (lam = -2/mu +
+    delta + i*eta); off-set draws inside ten times it are redrawn, and the
+    redraws end, as that disc holds at most a sixth of the angles or log-offsets.
     """
     r = 1.0 / params.mu
 
     def inside_stationary_band(lam):
-        return abs((lam.real + 2.0 * r) * lam.imag) <= 20.0 * sp.MEMBERSHIP_RTOL * r * r
+        w = lam + 2.0 * r
+        return abs(w) <= 0.5 * r and abs(w.real * w.imag) <= 20.0 * sp.MEMBERSHIP_RTOL * r * r
 
     quarter = n_total // 4
     lams = []
@@ -94,7 +105,7 @@ def branch_cut_samples(params, n_total, rng):
         s = 10 ** rng.uniform(-3, 1.5)
         eta = 0.0
         if rng.random() < 0.5:
-            eta = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, -1)
+            eta = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, -1) * max(1.0, r)
         while eta and inside_stationary_band(complex(-r - s, eta)):
             s = 10 ** rng.uniform(-3, 1.5)
         lams.append(complex(-r - s, eta))
@@ -172,13 +183,11 @@ def random_resolvent_input(grid, rng) -> rv.ResolventInput:
         0.25 * sign(), 0.25 * sign())
 
 
-def resolvent_defect(system, lam, inp: rv.ResolventInput,
-                     out: rv.ResolventOutput | None = None) -> float:
+def resolvent_defect(system, lam, inp: rv.ResolventInput) -> float:
     """Relative residual ||(lam*I - A_h) z_lam - F|| / ||F|| (vector 2-norms)."""
     grid = system.grid
     lay = grid.layout
-    if out is None:
-        out = rv.resolvent_apply(lam, grid.params, inp)
+    out = rv.resolvent_apply(lam, grid.params, inp)
 
     def flat(f1, pair_h, pair_q, f4, f5):
         z = dz.State(f1, *(f.values for f in pair_h + pair_q)).flatten(grid)
@@ -349,7 +358,7 @@ def suite_halfline(params=sp.PhysicalParams(), n_trials=100, seed=3):
 
 def suite_resolvent(params=sp.PhysicalParams(), seed=4):
     """Linearity and discrete consistency of the resolvent at one frequency."""
-    grid = dz.build_grid(params, 20.0 * params.a, _n_side(100, params.a))
+    grid = _resolvent_grid(params, 20.0, 100)
     system = dz.assemble(grid)
     rng = np.random.default_rng(seed)
     lam = 2 + 2j
@@ -384,20 +393,19 @@ def suite_resolvent_consistency(params=sp.PhysicalParams()):
     """Discrete consistency of the resolvent and its order under refinement.
 
     Five draws at each frequency, each frequency's from a generator seeded
-    11 whatever the run's seed; the defects on L = 20a, the order between
-    two grids on L = 30a whose spacings differ by two.
+    11 whatever the run's seed; the defects on the suite_resolvent grid,
+    the order between two grids 1.5 times longer whose spacings differ by two.
     """
-    lams, a = (1.0, 2 + 2j, 0.5 - 3j), params.a
+    lams = (1.0, 2 + 2j, 0.5 - 3j)
 
     def defects(system, lam):
         rng = np.random.default_rng(11)
         return [resolvent_defect(system, lam, random_resolvent_input(system.grid, rng))
                 for _ in range(5)]
 
-    system = dz.assemble(dz.build_grid(params, 20.0 * a, _n_side(100, a)))
+    system = dz.assemble(_resolvent_grid(params, 20.0, 100))
     worst = max(max(defects(system, lam)) for lam in lams)
-    coarse, fine = (dz.assemble(dz.build_grid(params, 30.0 * a, _n_side(n, a)))
-                    for n in (152, 303))
+    coarse, fine = (dz.assemble(_resolvent_grid(params, 30.0, n)) for n in (152, 303))
     order = min(math.log2(c / f) for lam in lams
                 for c, f in zip(defects(coarse, lam), defects(fine, lam)))
     passed = worst <= RESOLVENT_DEFECT and order >= CONVERGENCE_ORDER
@@ -421,19 +429,23 @@ def sector_samples(theta, radius_min):
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
+def _omegas(lams, params):
+    """:func:`spectral.helmholtz_omega` elementwise, without the excluded-set checks."""
+    return np.sqrt(lams * lams / (1.0 + params.mu * lams))
+
+
 def decay_rates(lams, params, theta):
     """Re omega and its sector bound (1/4) sqrt(|lam| (1 - sin theta)/mu), per sample."""
     lams = np.asarray(lams, dtype=complex)
-    omega = np.sqrt(lams * lams / (1.0 + params.mu * lams))
     modulus = np.hypot(lams.real, lams.imag)
-    return omega.real, 0.25 * np.sqrt(modulus * (1.0 - math.sin(theta)) / params.mu)
+    return (_omegas(lams, params).real,
+            0.25 * np.sqrt(modulus * (1.0 - math.sin(theta)) / params.mu))
 
 
 def trace_matrix_norms(lams, params):
     """||lam M_lam^-1||_2 = |lam| / min(|d + o|, |d - o|) of the normal M = [[d, o], [o, d]]."""
     lams = np.asarray(lams, dtype=complex)
-    omega = np.sqrt(lams * lams / (1.0 + params.mu * lams))
-    diag, off = sp.boundary_system_entries(lams, omega, params)
+    diag, off = sp.boundary_system_entries(lams, _omegas(lams, params), params)
     return np.abs(lams) / np.minimum(np.abs(diag + off), np.abs(diag - off))
 
 
@@ -473,11 +485,13 @@ def suite_sector(params=sp.PhysicalParams()):
                          for lam in freqs])
     trends = sweep_trend(trace), sweep_trend(operator)
     finite = bool(np.all(np.isfinite(trace)) and np.all(np.isfinite(operator)))
-    passed = violations == 0 and finite and max(trends) <= SECTOR_TREND
-    return {"name": "sector", "passed": bool(passed), "decay_samples": checked,
-            "decay_violations": violations, "worst_decay_margin": worst,
-            "trace_matrix_trend": trends[0], "operator_trend": trends[1],
-            "finite_norms": finite}
+    decay_passed = violations == 0
+    trend_passed = finite and max(trends) <= SECTOR_TREND
+    return {"name": "sector", "passed": decay_passed and trend_passed,
+            "decay_passed": decay_passed, "trend_passed": trend_passed,
+            "decay_samples": checked, "decay_violations": violations,
+            "worst_decay_margin": worst, "trace_matrix_trend": trends[0],
+            "operator_trend": trends[1], "finite_norms": finite}
 
 
 def suite_discretization(params=sp.PhysicalParams(), n_side=100):
@@ -514,11 +528,15 @@ def suite_discretization(params=sp.PhysicalParams(), n_side=100):
 def suite_dynamics(params=sp.PhysicalParams(), seed=5):
     """Stepping oracle, equilibrium invariance, dissipation, linearity.
 
-    The bump's energy identity on the default grid at (n_side, dt) = (100, 1e-3)
-    against (199, 5e-4), and E(0) >= int Hdot^2 under u = -Hdot from the heave.
+    The audit and the identity march a bump at 5a of width 2a, which scales
+    with the default grids; the identity at (n_side, dt) = (100, 1e-3)
+    against (199, 5e-4).  E(0) >= int Hdot^2 under u = -Hdot from the heave.
     """
     def monotone(traj):
         return bool(np.all(np.diff(traj.energies) <= 1e-10 * traj.energies[0]))
+
+    def bump(grid):
+        return dz.bump_state(grid, center=5.0 * params.a, width=2.0 * params.a)
 
     grid = dz.default_grid(params, n_side=60)
     system = dz.assemble(grid)
@@ -533,7 +551,7 @@ def suite_dynamics(params=sp.PhysicalParams(), seed=5):
     z = rest.flatten(grid)
     eq_err = float(np.abs(stepper.advance(z, 0.0, 0.0) - z).max())
 
-    traj = dyn.simulate(system, dz.bump_state(grid), T=3.0, dt=0.01)
+    traj = dyn.simulate(system, bump(grid), T=3.0, dt=0.01)
     balance = dyn.energy_balance_report(traj)
 
     rng = np.random.default_rng(seed)
@@ -551,16 +569,19 @@ def suite_dynamics(params=sp.PhysicalParams(), seed=5):
     margin = float((closed.energies[0] - np.concatenate([[0.0], np.cumsum(steps)])).min())
     defects, identity_monotone = [], True
     for sys_n, dt in ((fine, 1e-3), (dz.assemble(dz.default_grid(params, n_side=199)), 5e-4)):
-        bump = dyn.simulate(sys_n, dz.bump_state(sys_n.grid), T=1.0, dt=dt)
-        defects.append(dyn.energy_balance_report(bump).max_defect)
-        identity_monotone &= monotone(bump)
+        march = dyn.simulate(sys_n, bump(sys_n.grid), T=1.0, dt=dt)
+        defects.append(dyn.energy_balance_report(march).max_defect)
+        identity_monotone &= monotone(march)
     order = math.log2(defects[0] / defects[1])
 
+    identity_passed = bool(defects[0] <= ENERGY_DEFECT and order >= CONVERGENCE_ORDER
+                           and identity_monotone)
+    output_energy_passed = bool(margin >= -1e-9 * closed.energies[0])
     passed = (scalar_err <= ROUNDOFF and eq_err <= ROUNDOFF and monotone(traj)
               and balance.max_defect <= ENERGY_AUDIT and lin <= 1e-10
-              and defects[0] <= ENERGY_DEFECT and order >= CONVERGENCE_ORDER
-              and identity_monotone and margin >= -1e-9 * closed.energies[0])
+              and identity_passed and output_energy_passed)
     return {"name": "dynamics", "passed": bool(passed),
+            "identity_passed": identity_passed, "output_energy_passed": output_energy_passed,
             "scalar_step_error": scalar_err, "equilibrium_step_error": eq_err,
             "energy_monotone": monotone(traj), "balance_max_defect": balance.max_defect,
             "linearity_defect": lin, "identity_defect": defects[0],

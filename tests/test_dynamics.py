@@ -6,6 +6,7 @@ import pytest
 from floatlab import discretization as dz
 from floatlab import dynamics as dyn
 from floatlab import lqr
+from floatlab import verification as vf
 from floatlab.errors import SingularSystem
 from floatlab.spectral import PhysicalParams
 
@@ -348,3 +349,13 @@ class TestEnergyFeedbackInequality:
         cumulative = np.concatenate(
             [[0.0], np.cumsum(0.02 * 0.5 * (hdot[:-1] ** 2 + hdot[1:] ** 2))])
         assert np.all(alpha * cumulative <= traj.energies[0] * (1 + 1e-9))
+
+
+class TestDynamicsSuite:
+    @pytest.mark.parametrize("a", [2.0, 4.0])
+    def test_passes_off_unit_radius(self, a):
+        # the marched bump scales with a: the preset's, at 5 of width 2,
+        # overlaps the solid at a = 2 and 4, and its energy rises there by
+        # more than the 1e-10 E0 the monotonicity test allows
+        report = vf.suite_dynamics(PhysicalParams(a, 1.0))
+        assert report["identity_passed"] and report["passed"]

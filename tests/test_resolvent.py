@@ -239,8 +239,7 @@ class TestResolventApply:
         assert defect <= 5e-3
 
     def test_suite_passes_at_half_radius(self):
-        # the wave packets scale with a, so at a = 0.5 (L = 10) they stay
-        # clear of the truncation boundary
+        # the wave packets scale with a, and the grid's spacing with them
         report = vf.suite_resolvent(PhysicalParams(0.5, 1.0))
         assert report["max_consistency_defect"] <= vf.RESOLVENT_DEFECT
         assert report["passed"]
@@ -250,4 +249,12 @@ class TestResolventApply:
         # 100), which takes the defect from 1.0e-2 to 2.5e-3
         report = vf.suite_resolvent(PhysicalParams(2.0, 1.0))
         assert report["max_consistency_defect"] <= vf.RESOLVENT_DEFECT
+        assert report["passed"]
+
+    @pytest.mark.parametrize("a, mu", [(0.5, 1.0), (1.0, 0.5), (0.5, 2.0)])
+    def test_consistency_suite_follows_the_parameters(self, a, mu):
+        # its grids hold as many decay lengths and resolve as finely as at
+        # (1, 1): a = 0.5 needs the longer domain, mu = 0.5 the finer
+        # spacing, (0.5, 2) both (0.118, 7.4e-3, 0.371 on L = 20a, n_side 100)
+        report = vf.suite_resolvent_consistency(PhysicalParams(a, mu))
         assert report["passed"]

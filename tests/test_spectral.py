@@ -61,11 +61,13 @@ class TestBranchCut:
             assert sp.on_branch_cut(lam, scaled) == sp.on_branch_cut(mu * lam, P11)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("mu", [0.5, 0.8])
+    @pytest.mark.parametrize("mu", [0.01, 0.5, 0.8])
     def test_suite_passes_off_unit_viscosity(self, mu, seed):
         # lam^2/(1 + mu*lam) is stationary at -2/mu, where the ratio test's
         # band widens to |delta*eta| <~ 2*rtol/mu^2; the near-set draws there
-        # used to fall inside it (at mu = 0.5, seeds 0 and 1; mu = 0.8, seed 0)
+        # used to fall inside it (at mu = 0.5, seeds 0 and 1; mu = 0.8, seed 0).
+        # The redraws end only if kept near -2/mu: at mu = 0.01 the band,
+        # applied elsewhere, holds every half-line draw of small offset.
         report = vf.suite_branch_cut(sp.PhysicalParams(1.0, mu), seed=seed)
         assert report["disagreements"] == 0 and report["passed"]
 
@@ -294,4 +296,5 @@ class TestSectorSweeps:
                             lambda params, n_side: grid(params, n_side=24))
         report = vf.suite_sector(P11)
         assert report["trace_matrix_trend"] == 0.0
-        assert not report["finite_norms"] and not report["passed"]
+        assert not report["finite_norms"] and not report["trend_passed"]
+        assert report["decay_passed"] and not report["passed"]
