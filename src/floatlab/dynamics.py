@@ -2,21 +2,22 @@
 
 The semigroup is analytic, so the semi-discrete system is stiff and the
 schemes here are unconditionally stable implicit one-step methods:
-trapezoidal (default, second order) and implicit Euler.  The generator
-has a few nonzeros per row, so the implicit matrix I - theta*dt*A is
-factorised once per march with a sparse LU (theta = 1/2 trapezoidal, 1
-implicit Euler), and each step is one solve on it: the explicit half of
-the scheme is rewritten in terms of the implicit matrix, so no step
-multiplies by A.  A state feedback u = -K z never forms the dense closed
-loop A - B K: it enters each step as a rank-one (Sherman-Morrison)
-correction along w = (I - theta*dt*A)^-1 B, so the open loop, the energy
-feedbacks and the Riccati gain all step on the same kind of
-factorisation.  The adaptive horizon marches into one preallocated
-history with a single factorisation.  ``feedback_costs`` marches several
-feedback gains at once, as the columns of one block on one
-factorisation, and keeps only the running cost |u|^2 + |Hdot|^2; the
-cost beyond the horizon is priced by the caller from the final states
-(``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
+trapezoidal (default, second order) and implicit Euler.  Every march
+is the loop u = -K z of a state feedback, and the free motion is the
+zero gain K = 0, so one step serves all of them: ``Stepper.advance``.
+The generator has a few nonzeros per row, so the implicit matrix
+I - theta*dt*A is factorised once per march with a sparse LU (theta =
+1/2 trapezoidal, 1 implicit Euler), and each step is one solve on it:
+the explicit half of the scheme is rewritten in terms of the implicit
+matrix, so no step multiplies by A, and the feedback enters as a
+rank-one (Sherman-Morrison) correction along w = (I - theta*dt*A)^-1 B,
+so the closed loop A - B K is never formed.  ``simulate_adaptive``
+marches into one preallocated history and ``simulate`` is its single
+chunk.  ``feedback_costs`` marches several feedback gains at once, as
+the columns of one block on one factorisation, and keeps only the
+running cost |u|^2 + |Hdot|^2; the cost beyond the horizon is priced
+by the caller from the final states (``lqr.compare_feedbacks`` uses
+z(T)^T P z(T)).
 """
 
 from __future__ import annotations
@@ -37,16 +38,21 @@ _FORM_BLOCK = 1024
 
 
 class Stepper:
-    """One-step implicit integrator with a cached sparse LU factorisation.
+    """One implicit step of the loop u = -K z, on a cached sparse LU factorisation.
 
     With M = I - theta*dt*A the explicit half of the theta-scheme is
     I + (1-theta)*dt*A = (1/theta) I - ((1-theta)/theta) M, so a step is
     one solve s = M^-1 z and no product with A:
     z1 = s/theta - ((1-theta)/theta) z + dt*w*(theta*u1 + (1-theta)*u0),
-    with w = M^-1 B.
+    with w = M^-1 B.  On the loop the weighted input theta*u1 + (1-theta)*u0
+    is -K (M + theta*dt*B K)^-1 z, which Sherman-Morrison gives from s as
+    -K s / (1 + theta*dt*K w), and u1 = -K z1 is read off the new state.
+    ``gain`` is one row K for a (dim,) state, or an (m, dim) block whose
+    rows close the m columns of a (dim, m) block; None is the open loop
+    K = 0.
     """
 
-    def __init__(self, system: SemiDiscreteSystem, dt, scheme="trapezoidal"):
+    def __init__(self, system: SemiDiscreteSystem, dt, scheme="trapezoidal", gain=None):
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if scheme not in SCHEMES:
@@ -62,25 +68,21 @@ class Stepper:
             raise SingularSystem(f"implicit matrix singular for dt={dt}") from exc
         self._dt_w = self.dt * self._lu.solve(np.asarray(system.B, dtype=float))
         self._lag = (1.0 - self.theta) / self.theta
+        self.gain = np.zeros(system.dim) if gain is None else np.asarray(gain, dtype=float)
+        self._scale = -1.0 / (1.0 + np.vecdot(self.gain, self.theta * self._dt_w))
 
-    def _combine(self, z, s, u):
-        """z1 from z, s = M^-1 z and the step's weighted input theta*u1 + (1-theta)*u0."""
+    def advance(self, z):
+        """(z1, u1): one step from z; the m columns of a (dim, m) block share the solve."""
+        s = self._lu.solve(z)
+        weighted = np.vecdot(self.gain, s.T) * self._scale
         # the solve returns a (dim, m) block in column-major order; the
         # transposed outer product keeps that order, so the elementwise
         # operations run along columns and the next solve needs no copy
-        z1 = s / self.theta + np.multiply.outer(u, self._dt_w).T
+        z1 = s / self.theta + np.multiply.outer(weighted, self._dt_w).T
         if self._lag:
             z1 -= self._lag * z
-        return z1
-
-    def advance(self, z, u_now, u_next):
-        """One step from z with the input samples at both ends of the step.
-
-        A (dim,) state takes scalar inputs; a (dim, m) block of m runs takes
-        (m,) inputs, one per column, and all columns share the solve.
-        """
-        u = self.theta * u_next + (1.0 - self.theta) * u_now
-        return self._combine(z, self._lu.solve(z), u)
+        # 0.0 - K z, not -(K z): the open loop's inputs stay +0.0
+        return z1, 0.0 - np.vecdot(self.gain, z1.T)
 
 
 @dataclass
@@ -112,48 +114,6 @@ class Trajectory:
                    header="t,H,Hdot,q_minus,q_plus,E,u", comments="")
 
 
-class _Feedback:
-    """State feedback u = -K z closed through the open-loop factorisation.
-
-    On the closed loop the step's weighted input theta*u1 + (1-theta)*u0 is
-    -K (M + theta*dt*B K)^-1 z, which Sherman-Morrison gives from s = M^-1 z
-    as -K s / (1 + theta*dt*K w); so a closed-loop step is one solve, the
-    closed loop A - B K is never formed, and u1 = -K z1 is read off the
-    new state.  ``gain`` is one row K for a (dim,) state, or an (m, dim)
-    block whose rows close the m columns of a (dim, m) block.
-    """
-
-    def __init__(self, stepper, gain):
-        self.stepper = stepper
-        self.gain = gain
-        self.scale = -1.0 / (1.0 + np.vecdot(gain, stepper.theta * stepper._dt_w))
-
-    def step(self, z):
-        """(z1, u1): one closed-loop step from z."""
-        s = self.stepper._lu.solve(z)
-        z1 = self.stepper._combine(z, s, np.vecdot(self.gain, s.T) * self.scale)
-        return z1, -np.vecdot(self.gain, z1.T)
-
-
-def _march(stepper, states, inputs, start, stop, gain):
-    """Fill rows start+1..stop of ``states`` by stepping from row ``start``.
-
-    Without a gain ``inputs`` holds the open-loop samples; with a gain K
-    each step is closed by ``_Feedback`` and u = -K z is recorded in
-    ``inputs``.
-    """
-    z = states[start]
-    if gain is None:
-        for k in range(start + 1, stop + 1):
-            z = stepper.advance(z, inputs[k - 1], inputs[k])
-            states[k] = z
-        return
-    feedback = _Feedback(stepper, gain)
-    for k in range(start + 1, stop + 1):
-        z, inputs[k] = feedback.step(z)
-        states[k] = z
-
-
 def _row_forms(states, *forms):
     """z^T M z for every row z of ``states`` and each sparse form M, by row blocks."""
     out = np.empty((len(forms), states.shape[0]))
@@ -174,64 +134,40 @@ def state_vector(system, z0) -> np.ndarray:
     return z0.flatten(system.grid) if isinstance(z0, State) else np.asarray(z0, dtype=float)
 
 
-def _start(system, z0, n_steps, gain):
-    """Empty history with z0 in row 0, and the feedback row vector if any."""
-    states = np.empty((n_steps + 1, system.dim))
-    states[0] = state_vector(system, z0)
-    inputs = np.zeros(n_steps + 1)
-    if gain is not None:
-        gain = np.asarray(gain, dtype=float).reshape(-1)
-        inputs[0] = -gain @ states[0]
-    return states, inputs, gain
+def simulate(system, z0, T, dt, gain=None, scheme="trapezoidal") -> Trajectory:
+    """March the loop u = -K z from z0 for a horizon T with step dt.
 
-
-def simulate(system, z0, T, dt, u=None, gain=None, scheme="trapezoidal") -> Trajectory:
-    """March the system from z0 for a horizon T with step dt.
-
-    ``u`` gives an open-loop input (a callable of t or an array with one
-    sample per step boundary); ``gain`` a state-feedback row vector K
-    applying u = -K z.  At most one of the two may be given; neither
-    means u = 0.
+    This is ``simulate_adaptive`` with a single chunk: its stop test can
+    only fire at the last step, so every step of the horizon is kept.
     """
-    if u is not None and gain is not None:
-        raise ValueError("pass an open-loop input or a feedback gain, not both")
-    if not (T > 0 and dt > 0):
-        raise ValueError("T and dt must be positive")
-    n_steps = int(round(T / dt))
-    times = dt * np.arange(n_steps + 1)
-    states, inputs, gain = _start(system, z0, n_steps, gain)
-    if callable(u):
-        inputs[:] = [u(t) for t in times]
-    elif u is not None:
-        u_samples = np.asarray(u, dtype=float)
-        if u_samples.shape != times.shape:
-            raise ValueError(f"open-loop input must have {n_steps + 1} samples")
-        inputs[:] = u_samples
-    _march(Stepper(system, dt, scheme), states, inputs, 0, n_steps, gain)
-    return Trajectory(times, states, inputs, _energies(states, system.grid), system)
+    return simulate_adaptive(system, z0, dt, T, gain, scheme, chunk=T)
 
 
-def simulate_adaptive(system, z0, dt, t_max, u=None, gain=None,
-                      scheme="trapezoidal", stop_ratio=1e-12, chunk=25.0) -> Trajectory:
-    """March until the running cost integrand dies out or t_max.
+def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
+                      stop_ratio=1e-12, chunk=25.0) -> Trajectory:
+    """March the loop u = -K z until the running cost integrand dies out or t_max.
 
-    The stop test runs at the end of every ``chunk`` time units and
-    compares |u|^2 + |Hdot|^2 there against its peak over the whole run;
-    the system is not exponentially stable, so t_max caps the horizon
-    when decay is slow.  One factorisation serves the whole run.
+    ``gain`` is the row K; None is the open loop.  The stop test runs at
+    the end of every ``chunk`` time units and compares |u|^2 + |Hdot|^2
+    there against its peak over the whole run; the system is not
+    exponentially stable, so t_max caps the horizon when decay is slow.
+    One factorisation serves the whole run.
     """
-    if u is not None:
-        raise ValueError("adaptive horizon supports zero input or feedback only")
     if not (t_max > 0 and dt > 0):
         raise ValueError("t_max and dt must be positive")
     n_steps = int(round(t_max / dt))
     chunk_steps = max(1, int(round(chunk / dt)))
-    states, inputs, gain = _start(system, z0, n_steps, gain)
-    stepper = Stepper(system, dt, scheme)
+    stepper = Stepper(system, dt, scheme, gain)
+    states = np.empty((n_steps + 1, system.dim))
+    inputs = np.empty(n_steps + 1)
+    z = states[0] = state_vector(system, z0)
+    inputs[0] = 0.0 - stepper.gain @ z
     k, peak = 0, 0.0
     while k < n_steps:
         end = min(k + chunk_steps, n_steps)
-        _march(stepper, states, inputs, k, end, gain)
+        for j in range(k + 1, end + 1):
+            z, inputs[j] = stepper.advance(z)
+            states[j] = z
         g = inputs[k:end + 1] ** 2 + (states[k:end + 1] @ system.C) ** 2
         k = end
         peak = max(peak, float(g.max()))
@@ -258,9 +194,9 @@ def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
     z = np.repeat(state_vector(system, z0)[:, None], gains.shape[0], axis=1)
     running = np.empty((n_steps + 1, gains.shape[0]))
     running[0] = np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2
-    feedback = _Feedback(Stepper(system, dt, scheme), gains)
+    stepper = Stepper(system, dt, scheme, gains)
     for k in range(1, n_steps + 1):
-        z, u = feedback.step(z)
+        z, u = stepper.advance(z)
         running[k] = u ** 2 + (system.C @ z) ** 2
     return np.trapezoid(running, dx=dt, axis=0), z
 

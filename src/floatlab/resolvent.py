@@ -141,13 +141,7 @@ def helmholtz_particular(side, omega, phi: HalfLineFunction) -> HalfLineFunction
     (GridMismatch otherwise); the result vanishes at the solid boundary
     and decays toward the truncation end.
     """
-    omega = _require_decaying(omega)
-    if phi.side != side:
-        raise GridMismatch(f"phi lives on side {phi.side!r}, expected {side!r}")
-    work = phi if side == "right" else _reflected(phi)
-    q, _ = _solve_right(omega, work.grid, 0.0, work.values)
-    out = HalfLineFunction("right", work.grid, q)
-    return out if side == "right" else _reflected(out)
+    return helmholtz_halfline_with_derivative(side, omega, 0.0, phi)[0]
 
 
 def helmholtz_halfline_with_derivative(side, omega, gamma, phi):

@@ -133,6 +133,20 @@ class TestSimulateCommand:
         data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
         assert np.any(data["u"] != 0.0)
 
+    def test_open_loop_writes_positive_zero_inputs(self, tmp_path):
+        # u = -K z with K = 0 is +0.0, never printed as -0.000e+00
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n_side": 24},
+                                   "time": {"dt": 0.05, "T_max": 20.0}}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out),
+                         "simulate", "--z0", "bump", "--controller", "none"]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0].split(",")[-1] == "u" and len(lines) > 2
+        u = [line.split(",")[-1] for line in lines[1:]]
+        assert not any(value.startswith("-") for value in u)
+        assert all(float(value) == 0.0 for value in u)
+
 
 class TestLqrCommand:
     def test_artifacts_and_optimality(self, tmp_path):

@@ -24,18 +24,19 @@ def scalar_system(rate=-1.0):
 class TestStep:
     def test_scalar_trapezoidal_hand_value(self):
         stepper = dyn.Stepper(scalar_system(), 0.1)
-        z1 = stepper.advance(np.array([1.0]), 0.0, 0.0)
+        z1, u1 = stepper.advance(np.array([1.0]))
         assert z1[0] == pytest.approx((1 - 0.05) / (1 + 0.05), abs=1e-15)
+        assert u1 == 0.0
 
     def test_scalar_implicit_euler_hand_value(self):
         stepper = dyn.Stepper(scalar_system(), 0.1, scheme="implicit_euler")
-        z1 = stepper.advance(np.array([1.0]), 0.0, 0.0)
+        z1, _ = stepper.advance(np.array([1.0]))
         assert z1[0] == pytest.approx(1.0 / 1.1, abs=1e-15)
 
     def test_zero_state_stays_zero(self):
         system = small_system()
         grid = system.grid
-        z = dyn.Stepper(system, 0.05).advance(dz.rest_state(grid).flatten(grid), 0.0, 0.0)
+        z, _ = dyn.Stepper(system, 0.05).advance(dz.rest_state(grid).flatten(grid))
         assert np.all(dz.State.unflatten(z, grid).flatten(grid) == 0.0)
 
     def test_equilibrium_unchanged(self):
@@ -43,7 +44,7 @@ class TestStep:
         grid = system.grid
         n = grid.n_side
         rest = dz.State(1.0, np.ones(n), np.ones(n), np.zeros(n), np.zeros(n))
-        z = dyn.Stepper(system, 0.1).advance(rest.flatten(grid), 0.0, 0.0)
+        z, _ = dyn.Stepper(system, 0.1).advance(rest.flatten(grid))
         out = dz.State.unflatten(z, grid)
         assert np.abs(out.flatten(grid) - rest.flatten(grid)).max() <= 1e-12
 
@@ -56,16 +57,14 @@ class TestStep:
             dyn.Stepper(scalar_system(), 0.1, scheme="leapfrog")
 
 
-def dense_reference(system, z0, dt, n_steps, theta, u=None, gain=None):
+def dense_reference(system, z0, dt, n_steps, theta, gain=None):
     """Theta-scheme march with dense solves on the (closed-loop) generator."""
     a = system.A if gain is None else system.A - np.outer(system.B, gain)
     eye = np.eye(system.dim)
     implicit, explicit = eye - theta * dt * a, eye + (1.0 - theta) * dt * a
-    u = np.zeros(n_steps + 1) if u is None else u
     states = [np.asarray(z0, dtype=float)]
-    for k in range(1, n_steps + 1):
-        rhs = explicit @ states[-1] + dt * system.B * ((1.0 - theta) * u[k - 1] + theta * u[k])
-        states.append(np.linalg.solve(implicit, rhs))
+    for _ in range(n_steps):
+        states.append(np.linalg.solve(implicit, explicit @ states[-1]))
     return np.array(states)
 
 
@@ -78,32 +77,15 @@ class TestStepperAgainstDense:
 
     @pytest.mark.parametrize("scheme,theta", SCHEMES)
     def test_open_loop_sampled_input(self, scheme, theta):
+        # the open loop is the zero gain: every sampled input is +0.0
         system = small_system(24)
         z0 = dz.bump_state(system.grid).flatten(system.grid)
         dt, n_steps = 0.05, 60
-        u = np.sin(0.7 * dt * np.arange(n_steps + 1))
-        traj = dyn.simulate(system, z0, T=dt * n_steps, dt=dt, u=u, scheme=scheme)
-        reference = dense_reference(system, z0, dt, n_steps, theta, u=u)
+        traj = dyn.simulate(system, z0, T=dt * n_steps, dt=dt, scheme=scheme)
+        reference = dense_reference(system, z0, dt, n_steps, theta)
         assert self.relative(traj.states, reference) <= 1e-12
-
-    @pytest.mark.parametrize("scheme,theta", SCHEMES)
-    def test_two_column_block(self, scheme, theta):
-        # each column of a (dim, 2) block steps as its own run with its own input
-        system = small_system(24)
-        grid = system.grid
-        z0 = np.column_stack([dz.bump_state(grid).flatten(grid),
-                              dz.heave_state(grid).flatten(grid)])
-        dt, n_steps = 0.05, 60
-        t = dt * np.arange(n_steps + 1)
-        u = np.column_stack([np.sin(0.7 * t), np.cos(0.3 * t)])
-        stepper = dyn.Stepper(system, dt, scheme)
-        z = z0
-        for k in range(1, n_steps + 1):
-            z = stepper.advance(z, u[k - 1], u[k])
-        assert z.shape == z0.shape
-        for j in range(2):
-            reference = dense_reference(system, z0[:, j], dt, n_steps, theta, u=u[:, j])
-            assert self.relative(z[:, j], reference[-1]) <= 1e-12
+        assert traj.inputs.shape == (n_steps + 1,)
+        assert np.all(traj.inputs == 0.0) and not np.any(np.signbit(traj.inputs))
 
     @pytest.mark.parametrize("scheme,theta", SCHEMES)
     def test_feedback_gain(self, scheme, theta):
@@ -120,19 +102,19 @@ class TestStepperAgainstDense:
 
     @pytest.mark.parametrize("scheme,theta", SCHEMES)
     def test_closed_loop_block(self, scheme, theta):
-        # the fused closed-loop step that simulate(gain=...) and feedback_costs
-        # share, on a (dim, 3) block: every column, every step, every input
+        # the step that simulate and feedback_costs share, on a (dim, 3)
+        # block: every column, every step, every input
         system = small_system(24)
         rng = np.random.default_rng(6)
         gains = np.vstack([np.zeros(system.dim), 0.5 * system.C,
                            0.5 * system.C + 0.1 * rng.standard_normal(system.dim)])
         z0 = dz.heave_state(system.grid).flatten(system.grid)
         dt, n_steps = 0.05, 60
-        feedback = dyn._Feedback(dyn.Stepper(system, dt, scheme), gains)
+        stepper = dyn.Stepper(system, dt, scheme, gains)
         z = np.repeat(z0[:, None], 3, axis=1)
         states, inputs = [z], [-gains @ z0]
         for _ in range(n_steps):
-            z, u = feedback.step(z)
+            z, u = stepper.advance(z)
             states.append(z)
             inputs.append(u)
         states, inputs = np.array(states), np.array(inputs)
@@ -161,15 +143,18 @@ class TestSimulateAdaptive:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(dyn.Stepper, "__init__", spy)
-        traj = dyn.simulate_adaptive(system, z0, dt=0.05, t_max=30.0, gain=system.C,
-                                     chunk=10.0)
-        assert len(constructed) == 1
         ref = dyn.simulate(system, z0, T=30.0, dt=0.05, gain=system.C)
-        assert traj.states.shape == ref.states.shape
-        assert np.array_equal(traj.times, 0.05 * np.arange(601))
-        for got, want in ((traj.states, ref.states), (traj.inputs, ref.inputs),
-                          (traj.energies, ref.energies)):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(constructed) == 1
+        # three chunks, and the single chunk that simulate is
+        for chunk in (10.0, 30.0):
+            traj = dyn.simulate_adaptive(system, z0, dt=0.05, t_max=30.0, gain=system.C,
+                                         chunk=chunk)
+            assert traj.states.shape == ref.states.shape
+            assert np.array_equal(traj.times, 0.05 * np.arange(601))
+            for got, want in ((traj.states, ref.states), (traj.inputs, ref.inputs),
+                              (traj.energies, ref.energies)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(constructed) == 3
 
     def test_early_stop_returns_rows_up_to_the_stop(self):
         system = small_system()
@@ -217,35 +202,12 @@ class TestSimulate:
         assert traj.inputs[0] == pytest.approx(-system.C @ traj.states[0])
         assert np.any(traj.inputs != 0.0)
 
-    def test_open_loop_array_and_callable_agree(self):
-        system = small_system()
-        z0 = dz.bump_state(system.grid)
-        t1 = dyn.simulate(system, z0, T=0.5, dt=0.05, u=lambda t: math.sin(t))
-        samples = np.sin(0.05 * np.arange(11))
-        t2 = dyn.simulate(system, z0, T=0.5, dt=0.05, u=samples)
-        assert np.abs(t1.states - t2.states).max() <= 1e-14
-
-    def test_exclusive_control_arguments(self):
-        system = small_system()
-        with pytest.raises(ValueError):
-            dyn.simulate(system, dz.rest_state(system.grid), 1.0, 0.1,
-                         u=lambda t: 0.0, gain=system.C)
-
     def test_csv_columns(self, tmp_path):
         system = small_system()
         traj = dyn.simulate(system, dz.bump_state(system.grid), T=0.2, dt=0.05)
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
         assert path.read_text().splitlines()[0] == "t,H,Hdot,q_minus,q_plus,E,u"
-
-    def test_adaptive_horizon_stops_early(self):
-        system = small_system()
-        traj = dyn.simulate_adaptive(system, dz.heave_state(system.grid),
-                                     dt=0.05, t_max=400.0, gain=system.C,
-                                     stop_ratio=1e-6, chunk=10.0)
-        assert traj.times[-1] < 400.0
-        g = traj.inputs**2 + traj.outputs()**2
-        assert g[-1] <= 1e-6 * g.max()
 
 
 def per_sample_audit(trajectory):

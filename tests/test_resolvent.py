@@ -78,6 +78,13 @@ class TestHelmholtzParticular:
         with pytest.raises(GridMismatch):
             rv.helmholtz_particular("right", 1.0, phi)
 
+    def test_suite_oracle_at_small_radius(self):
+        # at a = 0.25 the truncation [a, 20a] ends at s = 4.75, where e^-s
+        # has not decayed; the suite's oracle grid reaches s = 19 instead
+        report = vf.suite_halfline(PhysicalParams(0.25, 1.0))
+        assert report["oracle_max_error"] <= vf.HALFLINE_ORACLE
+        assert report["passed"]
+
 
 class TestUniformPath:
     @staticmethod
