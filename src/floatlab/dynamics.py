@@ -12,12 +12,15 @@ the explicit half of the scheme is rewritten in terms of the implicit
 matrix, so no step multiplies by A, and the feedback enters as a
 rank-one (Sherman-Morrison) correction along w = (I - theta*dt*A)^-1 B,
 so the closed loop A - B K is never formed.  ``simulate_adaptive``
-marches into one preallocated history and ``simulate`` is its single
-chunk.  ``feedback_costs`` marches several feedback gains at once, as
-the columns of one block on one factorisation, and keeps only the
-running cost |u|^2 + |Hdot|^2; the cost beyond the horizon is priced
-by the caller from the final states (``lqr.compare_feedbacks`` uses
-z(T)^T P z(T)).
+steps into a buffer of a few dozen rows and, each time it fills,
+reduces it to the sampled columns (H, Hdot, q-+, the energy and the
+energy audit's two quadratic forms) while the block is still in cache,
+so it keeps no state history; ``simulate`` is its single chunk and
+keeps the history as well.  ``feedback_costs`` marches several
+feedback gains at once, as the columns of one block on one
+factorisation, and keeps only the running cost |u|^2 + |Hdot|^2; the
+cost beyond the horizon is priced by the caller from the final states
+(``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
 """
 
 from __future__ import annotations
@@ -33,8 +36,13 @@ from .discretization import SemiDiscreteSystem, State, quadratic_forms
 from .errors import SingularSystem
 
 SCHEMES = ("trapezoidal", "implicit_euler")
-#: Rows per block of a quadratic form over the history: bounds its temporaries.
-_FORM_BLOCK = 1024
+#: Steps per block that a march reduces to its sampled columns at once.
+#: At dim 399 a block and the temporaries of its three forms then stay in
+#: a 2 MB L2 cache; 128 and 256 rows made the march 15-20 % slower.
+_BLOCK = 64
+#: Rows of ``trajectory.csv`` formatted at once: bounds the text and the
+#: Python floats that formatting makes, 13 MB for 25,001 rows at once.
+_CSV_ROWS = 1024
 
 
 class Stepper:
@@ -87,46 +95,55 @@ class Stepper:
 
 @dataclass
 class Trajectory:
-    """Sampled closed- or open-loop run with per-sample energy."""
+    """Sampled run of the loop u = -K z.
+
+    ``samples`` has one row per sampled column and one column per sample:
+    H, Hdot = C z, q-, q+, the energy 0.5 z^T W z, and the energy audit's
+    z^T G z and z^T S z (the forms of ``quadratic_forms``).  ``states`` is
+    the (n_samples, state_dim) history when the march kept it, else None.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (n_samples, state_dim)
     inputs: np.ndarray
-    energies: np.ndarray
+    samples: np.ndarray  # (7, n_samples)
     system: SemiDiscreteSystem
+    states: np.ndarray | None = None
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.samples[4]
 
     def outputs(self) -> np.ndarray:
         """Hdot = C z along the trajectory."""
-        return self.states @ self.system.C
+        return self.samples[1]
 
     def write_csv(self, path):
-        lay = self.system.grid.layout
-        data = np.column_stack([
-            self.times,
-            self.states[:, lay.H],
-            self.outputs(),
-            self.states[:, lay.q_minus],
-            self.states[:, lay.q_plus],
-            self.energies,
-            self.inputs,
-        ])
-        np.savetxt(path, data, delimiter=",",
-                   header="t,H,Hdot,q_minus,q_plus,E,u", comments="")
+        data = np.column_stack([self.times, *self.samples[:5], self.inputs])
+        # np.savetxt's row format, applied to a block of rows at once
+        row = ",".join(["%.18e"] * data.shape[1]) + "\n"
+        with open(path, "w") as fh:
+            fh.write("t,H,Hdot,q_minus,q_plus,E,u\n")
+            for i in range(0, len(data), _CSV_ROWS):
+                rows = data[i:i + _CSV_ROWS]
+                fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def _row_forms(states, *forms):
-    """z^T M z for every row z of ``states`` and each sparse form M, by row blocks."""
-    out = np.empty((len(forms), states.shape[0]))
-    for i in range(0, states.shape[0], _FORM_BLOCK):
-        block = states[i:i + _FORM_BLOCK]
-        for values, form in zip(out, forms):
-            values[i:i + _FORM_BLOCK] = np.einsum("ti,ti->t", block @ form, block)
-    return out
+def _sample(block, system, forms, out):
+    """Reduce the states in the rows of ``block`` to the columns of ``out``.
 
-
-def _energies(states, grid):
-    """0.5 * z^T W z per row."""
-    return 0.5 * _row_forms(states, quadratic_forms(grid)[0])[0]
+    ``out`` is a (7, len(block)) slice of ``Trajectory.samples`` and
+    ``forms`` are (W, G, S).  Every block has at least two rows, so each
+    product takes the same path and a sample does not depend on the block
+    it fell in.
+    """
+    lay = system.grid.layout
+    out[0] = block[:, lay.H]
+    out[1] = block @ system.C
+    out[2] = block[:, lay.q_minus]
+    out[3] = block[:, lay.q_plus]
+    for values, form in zip(out[4:], forms):
+        values[:] = np.einsum("ti,ti->t", block @ form, block)
+    out[4] *= 0.5
 
 
 def state_vector(system, z0) -> np.ndarray:
@@ -135,47 +152,58 @@ def state_vector(system, z0) -> np.ndarray:
 
 
 def simulate(system, z0, T, dt, gain=None, scheme="trapezoidal") -> Trajectory:
-    """March the loop u = -K z from z0 for a horizon T with step dt.
+    """March the loop u = -K z from z0 for a horizon T with step dt, keeping its states.
 
-    This is ``simulate_adaptive`` with a single chunk: its stop test can
-    only fire at the last step, so every step of the horizon is kept.
+    This is ``simulate_adaptive`` with a single chunk and the history:
+    its stop test can only fire at the last step, so every step of the
+    horizon is kept.
     """
-    return simulate_adaptive(system, z0, dt, T, gain, scheme, chunk=T)
+    return simulate_adaptive(system, z0, dt, T, gain, scheme, chunk=T, history=True)
 
 
 def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
-                      stop_ratio=1e-12, chunk=25.0) -> Trajectory:
+                      stop_ratio=1e-12, chunk=25.0, history=False) -> Trajectory:
     """March the loop u = -K z until the running cost integrand dies out or t_max.
 
     ``gain`` is the row K; None is the open loop.  The stop test runs at
     the end of every ``chunk`` time units and compares |u|^2 + |Hdot|^2
     there against its peak over the whole run; the system is not
     exponentially stable, so t_max caps the horizon when decay is slow.
-    One factorisation serves the whole run.
+    One factorisation serves the whole run.  The states pass through a
+    buffer of ``_BLOCK`` + 1 rows, the last state of a block being the
+    first of the next, and only the sampled columns are kept; with
+    ``history`` the buffer is the state history itself.
     """
     if not (t_max > 0 and dt > 0):
         raise ValueError("t_max and dt must be positive")
     n_steps = int(round(t_max / dt))
     chunk_steps = max(1, int(round(chunk / dt)))
     stepper = Stepper(system, dt, scheme, gain)
-    states = np.empty((n_steps + 1, system.dim))
+    forms = quadratic_forms(system.grid)
+    # the history, or a buffer for one block and the state carried into it
+    states = np.empty((n_steps + 1 if history else _BLOCK + 1, system.dim))
     inputs = np.empty(n_steps + 1)
-    z = states[0] = state_vector(system, z0)
+    samples = np.empty((7, n_steps + 1))
+    z = state_vector(system, z0)
     inputs[0] = 0.0 - stepper.gain @ z
     k, peak = 0, 0.0
     while k < n_steps:
-        end = min(k + chunk_steps, n_steps)
-        for j in range(k + 1, end + 1):
-            z, inputs[j] = stepper.advance(z)
-            states[j] = z
-        g = inputs[k:end + 1] ** 2 + (states[k:end + 1] @ system.C) ** 2
-        k = end
+        start, end = k, min(k + chunk_steps, n_steps)
+        while k < end:
+            n = min(_BLOCK, end - k)
+            block = states[k:k + n + 1] if history else states[:n + 1]
+            block[0] = z
+            for j in range(1, n + 1):
+                z, inputs[k + j] = stepper.advance(z)
+                block[j] = z
+            _sample(block, system, forms, samples[:, k:k + n + 1])
+            k += n
+        g = inputs[start:end + 1] ** 2 + samples[1, start:end + 1] ** 2
         peak = max(peak, float(g.max()))
         if peak > 0 and g[-1] <= stop_ratio * peak:
             break
-    states = states[:k + 1]
-    return Trajectory(dt * np.arange(k + 1), states, inputs[:k + 1],
-                      _energies(states, system.grid), system)
+    return Trajectory(dt * np.arange(k + 1), inputs[:k + 1], samples[:, :k + 1], system,
+                      states[:k + 1] if history else None)
 
 
 def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
@@ -235,16 +263,14 @@ def energy_balance_report(trajectory: Trajectory) -> EnergyBalanceReport:
     The continuous identity is dE/dt = -mu*||dq/dx||^2 + u*Hdot; the
     discrete march adds the sponge sink.  The right-hand side is
     evaluated at both step endpoints and averaged, matching the order of
-    the trapezoidal scheme.
+    the trapezoidal scheme; its terms are the z^T G z and z^T S z that
+    the march sampled, so no state history is needed.
     """
-    dt = np.diff(trajectory.times)
-    lhs = np.diff(trajectory.energies) / dt
-    grid = trajectory.system.grid
-    _, gradient, sponge = quadratic_forms(grid)
-    gradsq, sink = _row_forms(trajectory.states, gradient, sponge)
-    rate = -grid.params.mu * gradsq + trajectory.inputs * trajectory.outputs()
-    rhs = 0.5 * (rate[:-1] + rate[1:]) - 0.5 * (sink[:-1] + sink[1:])
-    times_mid = 0.5 * (trajectory.times[:-1] + trajectory.times[1:])
+    lhs = np.diff(trajectory.energies) / np.diff(trajectory.times)
+    gradsq, sink = trajectory.samples[5:]
+    rate = -trajectory.system.grid.params.mu * gradsq + trajectory.inputs * trajectory.outputs()
     sink_mid = 0.5 * (sink[:-1] + sink[1:])
+    rhs = 0.5 * (rate[:-1] + rate[1:]) - sink_mid
+    times_mid = 0.5 * (trajectory.times[:-1] + trajectory.times[1:])
     max_defect = float(np.abs(lhs - rhs).max(initial=0.0))
     return EnergyBalanceReport(times_mid, lhs, rhs, sink_mid, max_defect)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,14 @@ class TestStepperAgainstDense:
             dyn.Stepper(scalar_system(rate=2.0 / dt), dt)
 
 
+def assert_same_samples(got, want):
+    """The sampled columns and inputs of two marches agree to 1e-14 relative."""
+    assert got.samples.shape == want.samples.shape == (7, want.times.size)
+    assert np.array_equal(got.times, want.times)
+    for g, w in zip([*got.samples, got.inputs], [*want.samples, want.inputs]):
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
 class TestSimulateAdaptive:
     def test_full_horizon_matches_simulate(self, monkeypatch):
         system = small_system()
@@ -145,31 +154,77 @@ class TestSimulateAdaptive:
         monkeypatch.setattr(dyn.Stepper, "__init__", spy)
         ref = dyn.simulate(system, z0, T=30.0, dt=0.05, gain=system.C)
         assert len(constructed) == 1
+        assert ref.states.shape == (601, system.dim)
         # three chunks, and the single chunk that simulate is
         for chunk in (10.0, 30.0):
             traj = dyn.simulate_adaptive(system, z0, dt=0.05, t_max=30.0, gain=system.C,
                                          chunk=chunk)
-            assert traj.states.shape == ref.states.shape
+            assert traj.states is None
             assert np.array_equal(traj.times, 0.05 * np.arange(601))
-            for got, want in ((traj.states, ref.states), (traj.inputs, ref.inputs),
-                              (traj.energies, ref.energies)):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert_same_samples(traj, ref)
         assert len(constructed) == 3
+
+    def test_samples_are_the_states_columns(self):
+        system = small_system()
+        traj = dyn.simulate(system, dz.bump_state(system.grid, center=12.0), T=8.0,
+                            dt=0.02, gain=0.5 * system.C)
+        lay = system.grid.layout
+        W, G, S = dz.quadratic_forms(system.grid)
+        z = traj.states
+        for got, want in ((traj.samples[0], z[:, lay.H]),
+                          (traj.outputs(), z @ system.C),
+                          (traj.samples[2], z[:, lay.q_minus]),
+                          (traj.samples[3], z[:, lay.q_plus]),
+                          (traj.energies, 0.5 * np.einsum("ti,ti->t", z @ W, z)),
+                          (traj.samples[5], np.einsum("ti,ti->t", z @ G, z)),
+                          (traj.samples[6], np.einsum("ti,ti->t", z @ S, z))):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert traj.samples[6].max() > 0.0
+
+    def test_one_row_final_block(self):
+        # a chunk of one block and one step: its last block reduces a
+        # single new state, on the same path as every other block
+        system = small_system()
+        dt, steps = 0.05, dyn._BLOCK + 1
+        z0 = dz.bump_state(system.grid)
+        ref = dyn.simulate(system, z0, T=2 * steps * dt, dt=dt, gain=system.C)
+        traj = dyn.simulate_adaptive(system, z0, dt=dt, t_max=2 * steps * dt,
+                                     gain=system.C, chunk=steps * dt)
+        assert traj.times.size == 2 * steps + 1
+        assert_same_samples(traj, ref)
 
     def test_early_stop_returns_rows_up_to_the_stop(self):
         system = small_system()
+        z0 = dz.heave_state(system.grid)
         dt, chunk_steps = 0.05, 200
-        traj = dyn.simulate_adaptive(system, dz.heave_state(system.grid), dt=dt,
-                                     t_max=400.0, gain=system.C, stop_ratio=1e-6,
-                                     chunk=chunk_steps * dt)
+        traj = dyn.simulate_adaptive(system, z0, dt=dt, t_max=400.0, gain=system.C,
+                                     stop_ratio=1e-6, chunk=chunk_steps * dt)
         k = traj.times.size - 1
         assert 0 < k < 8000 and k % chunk_steps == 0
-        assert traj.states.shape == (k + 1, system.dim)
+        assert traj.states is None
         assert traj.inputs.shape == traj.energies.shape == (k + 1,)
+        assert_same_samples(traj, dyn.simulate(system, z0, T=k * dt, dt=dt, gain=system.C))
         g = traj.inputs ** 2 + traj.outputs() ** 2
         assert g[k] <= 1e-6 * g.max()
         # the chunk end before the stop did not pass the test
         assert g[k - chunk_steps] > 1e-6 * g[:k - chunk_steps + 1].max()
+
+    def test_streamed_march_keeps_no_history(self):
+        # the default grid and step: a 400-unit history would be 64 MB
+        system = small_system(100)
+        z0 = dz.bump_state(system.grid)
+        peaks = []
+        for t_max in (50.0, 400.0):
+            tracemalloc.start()
+            try:
+                traj = dyn.simulate_adaptive(system, z0, dt=0.02, t_max=t_max)
+                dyn.energy_balance_report(traj)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert traj.times[-1] == t_max
+        assert peaks[1] < 8e6
+        assert peaks[1] - peaks[0] < 2e6
 
 
 class TestSimulate:
@@ -208,6 +263,20 @@ class TestSimulate:
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
         assert path.read_text().splitlines()[0] == "t,H,Hdot,q_minus,q_plus,E,u"
+
+    def test_csv_is_savetxt_of_the_states(self, tmp_path, monkeypatch):
+        # formatted two rows at a time: full blocks and a last partial one
+        monkeypatch.setattr(dyn, "_CSV_ROWS", 2)
+        system = small_system()
+        traj = dyn.simulate(system, dz.bump_state(system.grid), T=0.25, dt=0.05,
+                            gain=system.C)
+        traj.write_csv(tmp_path / "traj.csv")
+        lay, z = system.grid.layout, traj.states
+        data = np.column_stack([traj.times, z[:, lay.H], z @ system.C, z[:, lay.q_minus],
+                                z[:, lay.q_plus], traj.energies, traj.inputs])
+        np.savetxt(tmp_path / "ref.csv", data, delimiter=",",
+                   header="t,H,Hdot,q_minus,q_plus,E,u", comments="")
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def per_sample_audit(trajectory):
@@ -276,6 +345,19 @@ class TestEnergyBalance:
         assert sink_mid.max() > 0.0
         max_defect = np.abs(report.lhs - rhs).max()
         assert report.max_defect == pytest.approx(max_defect, rel=1e-12)
+
+    def test_streamed_audit_matches_history(self):
+        system = small_system(64)
+        z0 = dz.bump_state(system.grid, center=12.0)
+        kept = dyn.simulate(system, z0, T=8.0, dt=0.02, gain=0.5 * system.C)
+        streamed = dyn.simulate_adaptive(system, z0, dt=0.02, t_max=8.0,
+                                         gain=0.5 * system.C, chunk=3.0)
+        assert kept.states is not None and streamed.states is None
+        want = dyn.energy_balance_report(kept)
+        got = dyn.energy_balance_report(streamed)
+        assert want.max_defect > 0.0
+        assert got.max_defect == want.max_defect
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 class TestFeedbackCosts:
