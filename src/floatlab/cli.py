@@ -105,6 +105,17 @@ def _build(cfg, sponge=True):
     return params, grid, dz.assemble(grid)
 
 
+def _finite(text, what) -> float:
+    """``text`` as a finite number; anything else is a ValueError naming ``what``."""
+    try:
+        number = float(text)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{what} needs a finite number, got {text!r}")
+    return number
+
+
 def _parse_z0(grid, spec: str) -> dz.State:
     """Preset grammar: name or name:key=value,key=value with finite values."""
     name, _, args = spec.partition(":")
@@ -117,15 +128,22 @@ def _parse_z0(grid, spec: str) -> dz.State:
         key, _, value = (part.strip() for part in item.partition("="))
         if key not in keys:
             raise ValueError(f"preset {name!r} has no key {key!r}; keys: {keys}")
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise ValueError(f"preset {name!r} key {key!r} needs a finite number, "
-                             f"got {value!r}")
-        kwargs[key] = number
+        kwargs[key] = _finite(value, f"preset {name!r} key {key!r}")
     return dz.preset_state(grid, name, **kwargs)
+
+
+def _parse_controller(spec: str):
+    """Controller grammar: none, lqr, alpha or alpha:<finite number>.
+
+    Returns "none", "lqr" or the weight alpha of the feedback u = -alpha*Hdot.
+    """
+    if spec in ("none", "lqr"):
+        return spec
+    name, colon, value = spec.partition(":")
+    if name != "alpha":
+        raise ValueError(f"unknown controller {spec!r}; choose none, lqr, alpha "
+                         f"or alpha:<number>")
+    return _finite(value, "controller 'alpha'") if colon else 1.0
 
 
 def _json_default(obj):
@@ -152,7 +170,7 @@ def cmd_spectrum(cfg, out_dir):
         for lam in np.linalg.eigvals(system.A):
             rows.append((lam.real, lam.imag,
                          sp.spectrum_distance(complex(lam), params, singular), label))
-    for root in singular.roots:
+    for root in singular:
         rows.append((root.real, root.imag, 0.0, "singular_set"))
 
     with open(out_dir / "spectrum.csv", "w", newline="") as fh:
@@ -162,7 +180,7 @@ def cmd_spectrum(cfg, out_dir):
 
     off = [r for r in rows if r[3] == "eig_sponge_off"]
     summary = {
-        "singular_points": [[r.real, r.imag] for r in singular.roots],
+        "singular_points": [[r.real, r.imag] for r in singular],
         "max_re_sponge_off": max(r[0] for r in off),
         "max_dist_to_E_sponge_off": max(r[2] for r in off),
         "n_eigenvalues": len(off),
@@ -174,9 +192,8 @@ def cmd_spectrum(cfg, out_dir):
 def cmd_resolvent_check(cfg, out_dir):
     params, grid, system = _build(cfg, sponge=False)
     rng = np.random.default_rng(cfg["seed"])
-    lambdas = (1.0, 2 + 2j, 0.5 - 3j)
     rows, worst = [], 0.0
-    for lam in lambdas:
+    for lam in vf.RESOLVENT_LAMBDAS:
         for k in range(3):
             inp = vf.random_resolvent_input(grid, rng)
             defect = vf.resolvent_defect(system, lam, inp)
@@ -192,26 +209,24 @@ def cmd_resolvent_check(cfg, out_dir):
 
 
 def cmd_simulate(cfg, out_dir, z0_spec="bump", controller="none"):
+    controller = _parse_controller(controller)
     params, grid, system = _build(cfg, sponge=True)
     z0 = _parse_z0(grid, z0_spec)
     t = cfg["time"]
 
     if controller == "none":
         gain = None
-    elif controller.startswith("alpha"):
-        alpha = float(controller.partition(":")[2] or 1.0)
-        gain = alpha * system.C
     elif controller == "lqr":
         solution = lqr_mod.care_solve(system, method=cfg["lqr"]["method"],
                                       tol=cfg["lqr"]["tol"], alpha0=cfg["lqr"]["alpha0"])
         gain = solution.gain
     else:
-        raise ValueError(f"unknown controller {controller!r}")
+        gain = controller * system.C
     traj = dyn.simulate_adaptive(system, z0, t["dt"], t["T_max"], gain=gain,
                                  scheme=t["scheme"])
 
     traj.write_csv(out_dir / "trajectory.csv")
-    dyn.energy_balance_report(traj).write_json(out_dir / "energy_balance.json")
+    _write_json(out_dir / "energy_balance.json", dyn.energy_balance_report(traj).to_json_dict())
     return 0
 
 
@@ -265,7 +280,7 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate")
     p_sim.add_argument("--z0", default="bump", help="preset: name[:k=v,...]")
     p_sim.add_argument("--controller", default="none",
-                       help="none | alpha[:VALUE] | lqr")
+                       help="none | alpha[:VALUE] | lqr, VALUE finite")
     p_lqr = sub.add_parser("lqr")
     p_lqr.add_argument("--z0", default="heave", help="preset: name[:k=v,...]")
     p_ver = sub.add_parser("verify")
@@ -283,21 +298,24 @@ def main(argv=None) -> int:
         return 2
 
     args.out.mkdir(parents=True, exist_ok=True)
+    # an overflow or invalid operation is a numerical failure, never a NaN
+    # or infinity in an artifact
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.out)
-        if args.command == "resolvent-check":
-            return cmd_resolvent_check(cfg, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.z0, args.controller)
-        if args.command == "lqr":
-            return cmd_lqr(cfg, args.out, args.z0)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out, fault=args.inject_fault)
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "spectrum":
+                return cmd_spectrum(cfg, args.out)
+            if args.command == "resolvent-check":
+                return cmd_resolvent_check(cfg, args.out)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args.out, args.z0, args.controller)
+            if args.command == "lqr":
+                return cmd_lqr(cfg, args.out, args.z0)
+            if args.command == "verify":
+                return cmd_verify(cfg, args.out, fault=args.inject_fault)
     except CompatibilityViolation as exc:
         print(f"incompatible initial data: {exc}", file=sys.stderr)
         return 3
-    except (FloatLabError, np.linalg.LinAlgError) as exc:
+    except (FloatLabError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

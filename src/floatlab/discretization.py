@@ -86,10 +86,6 @@ class Grid:
     def layout(self) -> StateLayout:
         return StateLayout(self.n_side)
 
-    @property
-    def state_dim(self) -> int:
-        return self.layout.dim
-
     def sponge(self, x) -> np.ndarray:
         """Damping profile: quadratic ramp inside the sponge band, else 0."""
         x = np.asarray(x, dtype=float)
@@ -192,7 +188,7 @@ class SemiDiscreteSystem:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    grid: Grid
+    grid: Grid | None
 
     @property
     def dim(self) -> int:
@@ -202,7 +198,9 @@ class SemiDiscreteSystem:
     def kernel(self) -> np.ndarray:
         """Orthonormal basis (dim x 3) of the generator's structural kernel.
 
-        The columns span three modes, written from ``grid.layout``:
+        A system built by hand without a grid has no structural kernel:
+        the basis is then empty, (dim x 0).  Otherwise the columns span
+        three modes, written from ``grid.layout``:
 
         - the rest mode: H = 1 and h = 1 on every node, no flux;
         - the left comb: h = 1 on every second node of the left side,
@@ -212,9 +210,10 @@ class SemiDiscreteSystem:
         The combs are the odd-even decoupling of the collocated central
         stencil: a comb has zero central difference at every interior
         node and zero trace at -+a.  All three are equilibria with zero
-        flux, so the output row does not see them.  Lazy, because a
-        system built by hand may have no grid.
+        flux, so the output row does not see them.
         """
+        if self.grid is None:
+            return np.zeros((self.dim, 0))
         lay, n = self.grid.layout, self.grid.n_side
         rest, left, right = np.zeros((3, lay.dim))
         rest[lay.H] = 1.0

@@ -25,7 +25,6 @@ cost beyond the horizon is priced by the caller from the final states
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +99,7 @@ class Trajectory:
     ``samples`` has one row per sampled column and one column per sample:
     H, Hdot = C z, q-, q+, the energy 0.5 z^T W z, and the energy audit's
     z^T G z and z^T S z (the forms of ``quadratic_forms``).  ``states`` is
-    the (n_samples, state_dim) history when the march kept it, else None.
+    the (n_samples, dim) history when the march kept it, else None.
     """
 
     times: np.ndarray
@@ -251,10 +250,6 @@ class EnergyBalanceReport:
             "steps": len(self.times_mid),
             "max_sponge_sink": float(self.sponge_sink.max(initial=0.0)),
         }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
 
 
 def energy_balance_report(trajectory: Trajectory) -> EnergyBalanceReport:

@@ -22,18 +22,20 @@ from .errors import ImaginaryAxisEigenvalue, NoConvergence
 #: then row-major little-endian float64 payload.
 MATRIX_MAGIC = b"FLTC"
 _HEADER_BYTES = 16
+#: Relative update of the sign iteration that counts as converged.
+SIGN_TOL = 1e-13
 
 
-def matrix_sign(h, max_iter=100, tol=1e-13):
+def matrix_sign(h, max_iter=100):
     """Matrix sign function by scaled Newton iteration Z <- (c Z + (c Z)^-1)/2.
 
     Returns (sign, steps).  The scaling c = sqrt(||Z^-1||_F / ||Z||_F)
     accelerates the early phase.  The iteration converges quadratically,
-    so it returns once a relative update falls below sqrt(tol): the next
-    one would be below tol.  It is undefined when h has an eigenvalue on
-    the imaginary axis; that surfaces as a singular iterate or a stalled
-    iteration and raises ImaginaryAxisEigenvalue / NoConvergence.  A
-    non-finite h raises ValueError.
+    so it returns once a relative update falls below sqrt(SIGN_TOL): the
+    next one would be below SIGN_TOL.  It is undefined when h has an
+    eigenvalue on the imaginary axis; that surfaces as a singular iterate
+    or a stalled iteration and raises ImaginaryAxisEigenvalue /
+    NoConvergence.  A non-finite h raises ValueError.
     """
     z = np.asarray(h, dtype=float).copy()
     n = z.shape[0]
@@ -42,7 +44,7 @@ def matrix_sign(h, max_iter=100, tol=1e-13):
     if not np.isfinite(z).all():
         raise ValueError("matrix_sign expects a finite matrix")
     lwork = int(lapack.dgetri_lwork(n)[0])
-    stop = np.sqrt(tol)
+    stop = np.sqrt(SIGN_TOL)
     for k in range(1, max_iter + 1):
         # one LU per iterate, inverted in place on its own factors;
         # info > 0 is an exactly zero pivot

@@ -78,18 +78,8 @@ class RiccatiSolution:
         return float(z0 @ self.P @ z0)
 
 
-def _as_matrices(system):
-    """(A, B, C, Z): a raw triple has no known kernel, so Z has no columns."""
-    if isinstance(system, SemiDiscreteSystem):
-        return system.A, system.B, system.C, system.kernel
-    a, b, c = system
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return (a, np.asarray(b, dtype=float).reshape(-1),
-            np.asarray(c, dtype=float).reshape(-1), np.zeros((a.shape[0], 0)))
-
-
 def deflate_zero_modes(a, b, c, z):
-    """Move the kernel of the generator to -1, returning (a - z z^T, k).
+    """Move the kernel of the generator to -1, returning a - z z^T.
 
     ``z`` is an orthonormal basis (dim x k) of ker a, written down by the
     caller; with a z = 0 the shift maps each column of z to its negative
@@ -99,9 +89,8 @@ def deflate_zero_modes(a, b, c, z):
     discretized model); anything else is reported as UnstableClosedLoop
     since no stabilizing solution can exist then.
     """
-    k = z.shape[1]
-    if k == 0:
-        return a, 0
+    if z.shape[1] == 0:
+        return a
     if np.abs(a @ z).max() > 1e-12 * np.abs(a).max():
         raise ValueError("z is not a kernel basis of a")
     shifted = a - z @ z.T
@@ -112,7 +101,7 @@ def deflate_zero_modes(a, b, c, z):
     if np.abs(w.T @ b).max() > 1e-8 * scale_b or np.abs(c @ z).max() > 1e-8 * scale_c:
         raise UnstableClosedLoop(
             "zero modes are coupled to the input or output; no stabilizing solution")
-    return shifted, k
+    return shifted
 
 
 def _full_residual(a, b, c, p):
@@ -150,20 +139,19 @@ def _hamiltonian_sign(a, b, c, max_iter):
     return 0.5 * (p + p.T), steps
 
 
-def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
+def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, alpha0=1.0,
                max_iter=60, keep_iterates=False) -> RiccatiSolution:
     """Minimal nonnegative solution of A^T P + P A - P B B^T P + C^T C = 0.
 
-    ``system`` is a SemiDiscreteSystem, whose structural kernel is
-    deflated, or a raw (A, B, C) triple with a single input and single
-    output, which is solved as given.  ``alpha0`` scales the initial
+    The structural kernel of ``system`` is deflated first; a system built
+    by hand without a grid has none.  ``alpha0`` scales the initial
     stabilizing gain alpha0 * C (the energy feedback u = -alpha0*Hdot).
     ``method`` is one of ``METHODS``.
     """
-    a, b, c, z = _as_matrices(system)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    shifted, kernel_dim = deflate_zero_modes(a, b, c, z)
+    a, b, c = system.A, system.B, system.C
+    shifted = deflate_zero_modes(a, b, c, system.kernel)
     gain0 = alpha0 * c
 
     if method == "newton_kleinman":
@@ -179,7 +167,7 @@ def care_solve(system, method="newton_kleinman", tol=1e-9, alpha0=1.0,
         iterates = []
 
     return RiccatiSolution(p, b @ p, _full_residual(a, b, c, p), iterations, method,
-                           kernel_dim=kernel_dim, iterates=iterates)
+                           kernel_dim=system.kernel.shape[1], iterates=iterates)
 
 
 @dataclass

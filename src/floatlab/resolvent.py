@@ -22,7 +22,6 @@ import numpy as np
 from .errors import GridMismatch, NonDecayingOmega, SingularMatrix, SpectrumProximity
 from .spectral import (
     PhysicalParams,
-    SingularSet,
     boundary_system_matrix,
     coupling_matrix_inverse,
     helmholtz_omega,
@@ -30,6 +29,8 @@ from .spectral import (
 )
 
 _SIDES = ("left", "right")
+#: Distance to the spectrum set below which the resolvent is refused.
+PROXIMITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,6 @@ class HalfLineFunction:
             raise GridMismatch("grid must be strictly increasing")
         if values.shape != grid.shape:
             raise GridMismatch("values and grid must have matching shapes")
-
-    @property
-    def boundary_abscissa(self) -> float:
-        return self.grid[-1] if self.side == "left" else self.grid[0]
 
     @property
     def boundary_value(self) -> complex:
@@ -207,19 +204,19 @@ class ResolventOutput:
     q_plus: complex
 
 
-def resolvent_apply(lam, params: PhysicalParams, inp: ResolventInput,
-                    singular: SingularSet | None = None,
-                    proximity_tol=1e-6) -> ResolventOutput:
+def resolvent_apply(lam, params: PhysicalParams, inp: ResolventInput) -> ResolventOutput:
     """Apply the resolvent of the evolution operator to a right-hand side.
 
     Reduces the flux equations to the half-line Helmholtz problems,
     solves the 2x2 boundary-trace system, rebuilds the fluxes on both
     sides and recovers the height components algebraically.  Refuses
-    frequencies closer than ``proximity_tol`` to the spectrum set.
+    frequencies closer than ``PROXIMITY_TOL`` to 0, the half-line or the
+    circle of the spectrum set.  The isolated singular points are not
+    part of that test; no tested (a, mu) has one.
     """
     lam = complex(lam)
-    if spectrum_distance(lam, params, singular) < proximity_tol:
-        raise SpectrumProximity(f"lambda={lam} is within {proximity_tol} of the spectrum")
+    if spectrum_distance(lam, params) < PROXIMITY_TOL:
+        raise SpectrumProximity(f"lambda={lam} is within {PROXIMITY_TOL} of the spectrum")
     omega = _require_decaying(helmholtz_omega(lam, params))
     a = params.a
     mu = params.mu

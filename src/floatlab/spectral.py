@@ -17,7 +17,7 @@ can be assembled.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .errors import DegenerateLambda, ExcludedLambda, RootFindingFailure
 
 #: Relative tolerance for membership in the branch-cut set (circle/half-line).
 MEMBERSHIP_RTOL = 1e-9
+#: |det| of the boundary-trace matrix below which a quartic root is a singular point.
+SINGULAR_DET_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,27 +47,16 @@ class PhysicalParams:
             raise ValueError(f"viscosity mu must be positive, got {self.mu}")
 
 
-@dataclass(frozen=True)
-class SingularSet:
-    """Isolated points where the 2x2 boundary-trace matrix is singular."""
-
-    roots: tuple[complex, ...]
-    residuals: tuple[float, ...] = field(default=())
-
-    def __len__(self):
-        return len(self.roots)
-
-
 def _ratio(lam: complex, params: PhysicalParams) -> complex:
     return lam * lam / (1.0 + params.mu * lam)
 
 
-def on_branch_cut(lam, params, rtol=MEMBERSHIP_RTOL) -> bool:
+def on_branch_cut(lam, params) -> bool:
     """True iff lambda belongs to the branch-cut set of the square root.
 
     The set consists of the half-line (-inf, -1/mu) and the circle
-    |lambda + 1/mu| = 1/mu, each within ``rtol`` relative to the scale
-    1/mu (to max(|lambda|, 1/mu) on the half-line); on it
+    |lambda + 1/mu| = 1/mu, each within ``MEMBERSHIP_RTOL`` relative to
+    the scale 1/mu (to max(|lambda|, 1/mu) on the half-line); on it
     lambda^2/(1 + mu*lambda) is negative real and the principal square
     root has no positive real part.
     Raises DegenerateLambda for lambda in {0, -1/mu}.
@@ -73,8 +64,9 @@ def on_branch_cut(lam, params, rtol=MEMBERSHIP_RTOL) -> bool:
     scale = 1.0 / params.mu
     if lam == 0 or lam == -scale:
         raise DegenerateLambda(f"lambda={lam} is a degenerate point")
-    on_halfline = abs(lam.imag) <= rtol * max(abs(lam), scale) and lam.real < -scale
-    return on_halfline or abs(abs(lam + scale) - scale) <= rtol * scale
+    on_halfline = (abs(lam.imag) <= MEMBERSHIP_RTOL * max(abs(lam), scale)
+                   and lam.real < -scale)
+    return on_halfline or abs(abs(lam + scale) - scale) <= MEMBERSHIP_RTOL * scale
 
 
 def helmholtz_omega(lam, params) -> complex:
@@ -167,13 +159,13 @@ def singular_quartic_coefficients(params) -> np.ndarray:
     ])
 
 
-def singular_points(params, det_tol=1e-8) -> SingularSet:
+def singular_points(params) -> tuple[complex, ...]:
     """All frequencies at which the boundary-trace matrix is singular.
 
     Solves the quartic via companion-matrix eigenvalues, then keeps only
     roots that avoid the branch-cut set, have nonpositive real part and
-    pass the direct determinant check |det| < ``det_tol``.  At most four
-    roots can survive.
+    pass the direct determinant check |det| < ``SINGULAR_DET_TOL``.  At
+    most four roots can survive.
     """
     coeffs = singular_quartic_coefficients(params)
     if not np.all(np.isfinite(coeffs)):
@@ -182,7 +174,7 @@ def singular_points(params, det_tol=1e-8) -> SingularSet:
     if not np.all(np.isfinite(candidates)):
         raise RootFindingFailure("companion-matrix eigenvalues did not converge")
 
-    roots, residuals = [], []
+    roots = []
     for lam in candidates:
         lam = complex(lam)
         try:
@@ -192,17 +184,16 @@ def singular_points(params, det_tol=1e-8) -> SingularSet:
             continue
         if lam.real > 0:
             continue
-        res = abs(np.linalg.det(boundary_system_matrix(lam, params)))
-        if res < det_tol:
+        if abs(np.linalg.det(boundary_system_matrix(lam, params))) < SINGULAR_DET_TOL:
             roots.append(lam)
-            residuals.append(res)
-    return SingularSet(tuple(roots), tuple(residuals))
+    return tuple(roots)
 
 
-def spectrum_distance(lam, params, singular: SingularSet | None = None) -> float:
+def spectrum_distance(lam, params, singular=()) -> float:
     """Euclidean distance from lambda to the spectrum set.
 
-    The set is the union of {0}, the singular points, the half-line
+    The set is the union of {0}, the ``singular`` points (a tuple from
+    :func:`singular_points`; none by default), the half-line
     (-inf, -1/mu] and the circle |lambda + 1/mu| = 1/mu restricted to
     the left half-plane (its only closure point with Re >= 0 is 0,
     already included).
@@ -210,8 +201,7 @@ def spectrum_distance(lam, params, singular: SingularSet | None = None) -> float
     lam = complex(lam)
     mu = params.mu
     dists = [abs(lam)]
-    if singular is not None:
-        dists.extend(abs(lam - s) for s in singular.roots)
+    dists.extend(abs(lam - s) for s in singular)
     # half-line (-inf, -1/mu]
     if lam.real <= -1.0 / mu:
         dists.append(abs(lam.imag))

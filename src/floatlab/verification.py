@@ -53,6 +53,11 @@ COST_GAP = 0.02
 #: closed-form determinant |det| at a reported singular point
 SINGULAR_RESIDUAL = 1e-8
 
+#: Gaussian wave packets a side in each random resolvent input
+WAVE_PACKETS = 2
+#: frequencies of the resolvent-check verb and of suite_resolvent_consistency
+RESOLVENT_LAMBDAS = (1.0, 2 + 2j, 0.5 - 3j)
+
 
 def _resolvent_grid(params, length, n_side):
     """The (a, mu) = (1, 1) grid (length, n_side), carried over to ``params``.
@@ -123,13 +128,13 @@ def ratio_on_cut(lam, params):
     return z.real < 0 and abs(z.imag) <= sp.MEMBERSHIP_RTOL * abs(z)
 
 
-def wave_packet_pair(grid, rng, n_packets=2):
+def wave_packet_pair(grid, rng):
     """Random sum of Gaussian wave packets on both sides, with derivative.
 
-    Packets are centred well inside the exterior (|x| in [4.5, 6.5]a),
-    with widths in [2.2, 3.0]a, wide enough to be resolved on the default
-    grid, and carry a slow carrier wave; returns nodal values and nodal
-    derivatives as (f_left, fp_left, f_right, fp_right).
+    ``WAVE_PACKETS`` packets a side are centred well inside the exterior
+    (|x| in [4.5, 6.5]a), with widths in [2.2, 3.0]a, wide enough to be
+    resolved on the default grid, and carry a slow carrier wave; returns
+    nodal values and nodal derivatives as (f_left, fp_left, f_right, fp_right).
     """
     a = grid.params.a
 
@@ -137,7 +142,7 @@ def wave_packet_pair(grid, rng, n_packets=2):
         return [(rng.uniform(0.5, 1.0), a * rng.uniform(4.5, 6.5),
                  a * rng.uniform(2.2, 3.0), rng.uniform(0.05, 0.15),
                  rng.uniform(0, 2 * math.pi))
-                for _ in range(n_packets)]
+                for _ in range(WAVE_PACKETS)]
 
     def sample(pk, sgn, xs):
         f = np.zeros_like(xs)
@@ -294,11 +299,11 @@ def suite_boundary_matrix(params=sp.PhysicalParams(), seed=2):
         worst_det = max(worst_det, float(abs(det_direct - det_closed)) / max(1.0, abs(det_closed)))
         n_done += 1
     sing = sp.singular_points(params)
-    # the residuals singular_points reports already passed its own filter,
-    # so each root is judged by the closed-form determinant instead
+    # singular_points filtered its roots by the assembled matrix's
+    # determinant, so each is judged by the closed-form determinant
     worst_sing = max((float(abs(sp.boundary_system_determinant(r, params)))
-                      for r in sing.roots), default=0.0)
-    sing_ok = len(sing) <= 4 and all(r.real <= 0 for r in sing.roots) \
+                      for r in sing), default=0.0)
+    sing_ok = len(sing) <= 4 and all(r.real <= 0 for r in sing) \
         and worst_sing < SINGULAR_RESIDUAL
     passed = worst_sym == 0.0 and worst_shift <= ROUNDOFF and worst_det <= 1e-10 and sing_ok
     return {"name": "boundary_matrix", "passed": bool(passed),
@@ -393,21 +398,20 @@ def suite_resolvent(params=sp.PhysicalParams(), seed=4):
 def suite_resolvent_consistency(params=sp.PhysicalParams()):
     """Discrete consistency of the resolvent and its order under refinement.
 
-    Five draws at each frequency, each frequency's from a generator seeded
-    11 whatever the run's seed; the defects on the suite_resolvent grid,
-    the order between two grids 1.5 times longer whose spacings differ by two.
+    Five draws at each of ``RESOLVENT_LAMBDAS``, each frequency's from a
+    generator seeded 11 whatever the run's seed; the defects on the
+    suite_resolvent grid, the order between two grids 1.5 times longer
+    whose spacings differ by two.
     """
-    lams = (1.0, 2 + 2j, 0.5 - 3j)
-
     def defects(system, lam):
         rng = np.random.default_rng(11)
         return [resolvent_defect(system, lam, random_resolvent_input(system.grid, rng))
                 for _ in range(5)]
 
     system = dz.assemble(_resolvent_grid(params, 20.0, 100))
-    worst = max(max(defects(system, lam)) for lam in lams)
+    worst = max(max(defects(system, lam)) for lam in RESOLVENT_LAMBDAS)
     coarse, fine = (dz.assemble(_resolvent_grid(params, 30.0, n)) for n in (152, 303))
-    order = min(math.log2(c / f) for lam in lams
+    order = min(math.log2(c / f) for lam in RESOLVENT_LAMBDAS
                 for c, f in zip(defects(coarse, lam), defects(fine, lam)))
     passed = worst <= RESOLVENT_DEFECT and order >= CONVERGENCE_ORDER
     return {"name": "resolvent_consistency", "passed": bool(passed),
@@ -556,8 +560,8 @@ def suite_dynamics(params=sp.PhysicalParams(), seed=5):
     balance = dyn.energy_balance_report(traj)
 
     rng = np.random.default_rng(seed)
-    za = rng.standard_normal(grid.state_dim)
-    zb = rng.standard_normal(grid.state_dim)
+    za = rng.standard_normal(grid.layout.dim)
+    zb = rng.standard_normal(grid.layout.dim)
     ta = dyn.simulate(system, za, T=1.0, dt=0.02)
     tb = dyn.simulate(system, zb, T=1.0, dt=0.02)
     tc = dyn.simulate(system, 0.3 * za + 0.7 * zb, T=1.0, dt=0.02)
@@ -596,7 +600,8 @@ def suite_lqr(params=sp.PhysicalParams(), n_side=48):
     The simulated optimal cost from the heave, bump and flow presets must
     match <P z0, z0> within COST_GAP and beat the energy feedbacks.
     """
-    scalar = lqr_mod.care_solve((np.array([[-1.0]]), [1.0], [1.0]))
+    scalar = lqr_mod.care_solve(dz.SemiDiscreteSystem(np.array([[-1.0]]), np.ones(1),
+                                                      np.ones(1), grid=None))
     scalar_err = float(abs(scalar.P[0, 0] - (math.sqrt(2.0) - 1.0)))
     sign, _ = matrix_sign(np.diag([-2.0, 3.0]))
     sign_err = float(np.abs(sign - np.diag([-1.0, 1.0])).max())

@@ -117,8 +117,9 @@ class TestSimulateCommand:
         data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
         energy = data["E"]
         assert np.all(np.diff(energy) <= 1e-10 * energy[0])
-        balance = json.loads((out / "energy_balance.json").read_text())
-        assert balance["max_defect"] < 1e-2
+        text = (out / "energy_balance.json").read_text()
+        assert text.endswith("}\n")
+        assert json.loads(text)["max_defect"] < 1e-2
 
     def test_incompatible_preset_exits_three(self, tmp_path, small_config):
         code = cli.main(["--config", str(small_config), "--out", str(tmp_path),
@@ -283,13 +284,83 @@ class TestPresetGrammar:
         assert isinstance(state, dz.State)
 
 
+@st.composite
+def controller_spec(draw):
+    """Controller strings: the documented forms, near misses and noise."""
+    number = st.one_of(st.sampled_from(["0", "-1", "1e308", "nan", "inf", "-inf", "", "1:2"]),
+                       st.floats().map(repr), st.text(max_size=6))
+    return draw(st.one_of(
+        st.sampled_from(["none", "lqr", "alpha", "alphabet", "alpha:", "None", " lqr"]),
+        st.builds("alpha:{}".format, number),
+        st.builds("{}:{}".format, st.sampled_from(["none", "lqr", "alph", "alphas"]), number),
+        st.text(max_size=8)))
+
+
+class TestControllerGrammar:
+    @pytest.mark.parametrize("spec", ["alpha:nan", "alpha:inf", "alphabet"])
+    def test_bad_controller_exits_two(self, tmp_path, capsys, small_config, spec):
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(small_config), "--out", str(out),
+                         "simulate", "--controller", spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid argument: ") and err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=controller_spec())
+    @example(spec="alpha")
+    @example(spec="alpha:-2.5")
+    def test_grammar_accepts_exactly_the_documented_forms(self, spec):
+        # none, lqr, alpha or alpha:<finite number>, the number read as
+        # the preset grammar reads one
+        name, colon, value = spec.partition(":")
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        documented = spec in ("none", "lqr", "alpha") or (
+            name == "alpha" and colon == ":" and math.isfinite(number))
+        try:
+            parsed = cli._parse_controller(spec)
+        except ValueError:
+            assert not documented
+            return
+        assert documented
+        assert parsed == (spec if name != "alpha" else number if colon else 1.0)
+
+
+def child_env():
+    """Environment of a child interpreter that imports this checkout's floatlab."""
+    src = str(Path(floatlab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_cli(tmp_path, *args):
+    """The CLI in a child process: RuntimeWarnings stay warnings there, as for a user."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": {"n_side": 16}, "time": {"T_max": 50.0}}))
+    return subprocess.run([sys.executable, "-m", "floatlab.cli", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"), *args],
+                          env=child_env(), capture_output=True, text=True)
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("args", [("lqr", "--z0", "heave:H0=1e300"),
+                                      ("simulate", "--z0", "bump:amplitude=1e200")])
+    def test_overflow_exits_two_and_writes_no_json(self, tmp_path, args):
+        # the parent wrote Infinity and NaN into lqr.json and energy_balance.json
+        done = run_cli(tmp_path, *args)
+        assert done.returncode == 2
+        assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
+        assert not list((tmp_path / "out").glob("*.json"))
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # lqr and simulate never filter; only the uniform half-line path does
-        src = str(Path(floatlab.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = "import sys, floatlab.cli; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

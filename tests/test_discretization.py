@@ -43,7 +43,7 @@ class TestGrid:
         # fluxes: the boundary and truncation nodes are not duplicated,
         # so the count is 4*n_side - 1
         grid = dz.build_grid(P11, 5.0, 12)
-        assert grid.state_dim == 4 * 12 - 1
+        assert grid.layout.dim == 4 * 12 - 1
         assert dz.assemble(grid).A.shape == (47, 47)
 
 
@@ -51,14 +51,14 @@ class TestStateLayout:
     def test_flatten_unflatten_roundtrip(self):
         grid = dz.build_grid(P11, 5.0, 10)
         rng = np.random.default_rng(0)
-        z = rng.standard_normal(grid.state_dim)
+        z = rng.standard_normal(grid.layout.dim)
         again = dz.State.unflatten(z, grid).flatten(grid)
         assert again == pytest.approx(z)
 
     def test_boundary_nodes_are_the_scalar_states(self):
         grid = dz.build_grid(P11, 5.0, 10)
         rng = np.random.default_rng(1)
-        st = dz.State.unflatten(rng.standard_normal(grid.state_dim), grid)
+        st = dz.State.unflatten(rng.standard_normal(grid.layout.dim), grid)
         assert st.q_left[-1] == st.q_minus
         assert st.q_right[0] == st.q_plus
         assert st.q_left[0] == 0.0 and st.q_right[-1] == 0.0
@@ -94,7 +94,6 @@ class TestStateLayout:
                                   ("H", "h_left", "h_right", "q_left", "q_right",
                                    "q_minus", "q_plus")])
         assert np.array_equal(np.sort(covered), every)
-        assert lay.dim == grid.state_dim
 
 
 class TestAssemble:
@@ -132,7 +131,7 @@ class TestAssemble:
         grid = dz.default_grid(P11, n_side=24)
         system = dz.assemble(grid)
         rng = np.random.default_rng(2)
-        z = rng.standard_normal(grid.state_dim)
+        z = rng.standard_normal(grid.layout.dim)
         st = dz.State.unflatten(z, grid)
         assert system.C @ z == pytest.approx(st.hdot(grid))
         assert system.C @ z == pytest.approx((system.A @ z)[0])
@@ -243,14 +242,14 @@ class TestEnergy:
         assert np.linalg.eigvalsh(w).min() >= 0.0
         rng = np.random.default_rng(3)
         for _ in range(5):
-            z = rng.standard_normal(grid.state_dim)
+            z = rng.standard_normal(grid.layout.dim)
             direct = dz.energy(dz.State.unflatten(z, grid), grid)
             assert 0.5 * z @ w @ z == pytest.approx(direct, rel=1e-12)
 
 
 def random_states(grid, count, seed):
     rng = np.random.default_rng(seed)
-    return [dz.State.unflatten(z, grid) for z in rng.standard_normal((count, grid.state_dim))]
+    return [dz.State.unflatten(z, grid) for z in rng.standard_normal((count, grid.layout.dim))]
 
 
 def sides(grid, state):
@@ -337,7 +336,7 @@ class TestPressureReconstruction:
             grid = dz.build_grid(P11, 20.0, n)
             system = dz.assemble(grid)
             for st in (smooth_state(grid),
-                       dz.State.unflatten(rng.standard_normal(grid.state_dim), grid)):
+                       dz.State.unflatten(rng.standard_normal(grid.layout.dim), grid)):
                 _, d = dz.reconstruct_pressure(
                     st, self.apply_generator(system, st, 0.3), 0.3, grid)
                 assert max(d.values()) <= 1e-12

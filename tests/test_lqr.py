@@ -68,31 +68,42 @@ class TestLyapunovSolve:
             lqr.lyapunov_solve(np.diag([-1.0, -1e-20]), np.eye(2))
 
 
+def by_hand(a, b, c):
+    """A system without a grid, so without a structural kernel."""
+    return dz.SemiDiscreteSystem(np.atleast_2d(a), np.asarray(b, dtype=float),
+                                 np.asarray(c, dtype=float), grid=None)
+
+
+SCALAR = by_hand(-1.0, [1.0], [1.0])
+
+
 class TestCareScalar:
     def test_newton_kleinman_hand_value(self):
-        sol = lqr.care_solve((np.array([[-1.0]]), [1.0], [1.0]))
+        sol = lqr.care_solve(SCALAR)
         assert abs(sol.P[0, 0] - (math.sqrt(2.0) - 1.0)) <= 1e-12
         assert sol.gain[0] == pytest.approx(sol.P[0, 0])
+        assert sol.kernel_dim == 0
+        assert SCALAR.kernel.shape == (1, 0)
 
     def test_hamiltonian_sign_hand_value(self):
-        sol = lqr.care_solve((np.array([[-1.0]]), [1.0], [1.0]),
-                             method="hamiltonian_sign")
+        sol = lqr.care_solve(SCALAR, method="hamiltonian_sign")
         assert abs(sol.P[0, 0] - (math.sqrt(2.0) - 1.0)) <= 1e-12
+        assert sol.kernel_dim == 0
 
     def test_zero_output_gives_zero_cost(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5)) - 3.0 * np.eye(5)
-        sol = lqr.care_solve((a, rng.standard_normal(5), np.zeros(5)))
+        sol = lqr.care_solve(by_hand(a, rng.standard_normal(5), np.zeros(5)))
         assert np.abs(sol.P).max() <= 1e-12
         assert np.abs(sol.gain).max() <= 1e-12
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            lqr.care_solve((np.array([[-1.0]]), [1.0], [1.0]), method="shooting")
+            lqr.care_solve(SCALAR, method="shooting")
 
     def test_iteration_budget(self):
         with pytest.raises(NoConvergence):
-            lqr.care_solve((np.array([[-1.0]]), [1.0], [1.0]), max_iter=0)
+            lqr.care_solve(SCALAR, max_iter=0)
 
 
 EPS = np.finfo(float).eps
@@ -104,9 +115,7 @@ MUS = (0.5, 1.0, 2.0)
 class TestDeflation:
     def test_no_kernel_is_identity(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-        shifted, k = lqr.deflate_zero_modes(a, np.ones(2), np.ones(2), np.zeros((2, 0)))
-        assert shifted is a
-        assert k == 0
+        assert lqr.deflate_zero_modes(a, np.ones(2), np.ones(2), np.zeros((2, 0))) is a
 
     def test_kernel_coupled_to_input_rejected(self):
         a = np.diag([0.0, -1.0])
@@ -133,7 +142,7 @@ class TestDeflation:
         a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         e3 = np.array([0.0, 0.0, 1.0])
         with pytest.raises(UnstableClosedLoop):
-            lqr.care_solve((a, e3, e3), method=method)
+            lqr.care_solve(by_hand(a, e3, e3), method=method)
 
     @pytest.mark.parametrize("n_side", KERNEL_SIDES)
     @pytest.mark.parametrize("sponge", [True, False])
@@ -160,8 +169,7 @@ class TestDeflation:
             # reference: the numerical rank test the closed form replaces
             s = sla.svdvals(system.A)
             assert np.sum(s <= 1e-10 * s[0]) == 3
-            shifted, k = lqr.deflate_zero_modes(system.A, system.B, system.C, z)
-            assert k == 3
+            shifted = lqr.deflate_zero_modes(system.A, system.B, system.C, z)
             assert np.abs(shifted @ z + z).max() <= 1e-13
             assert np.linalg.eigvals(shifted).real.max() < 0
 
@@ -282,7 +290,7 @@ class TestCompareFeedbacks:
         # the Loewner order X_alpha >= P that makes the energy rows lower bounds
         system = small_system(24)
         solution = lqr.care_solve(system)
-        shifted, _ = lqr.deflate_zero_modes(system.A, system.B, system.C, system.kernel)
+        shifted = lqr.deflate_zero_modes(system.A, system.B, system.C, system.kernel)
         x = lqr.lyapunov_solve(shifted - alpha * np.outer(system.B, system.C),
                                (1.0 + alpha ** 2) * np.outer(system.C, system.C))
         assert np.linalg.eigvalsh(x - solution.P).min() >= -1e-12 * np.linalg.norm(x, 2)

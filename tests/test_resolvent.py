@@ -28,7 +28,6 @@ class TestHalfLineFunction:
     def test_boundary_value(self):
         f = rv.HalfLineFunction("left", [-5.0, -3.0, -1.0], [1.0, 2.0, 3.0])
         assert f.boundary_value == 3.0
-        assert f.boundary_abscissa == -1.0
 
 
 class TestExponentialExtension:

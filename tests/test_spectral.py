@@ -207,11 +207,12 @@ class TestSingularPoints:
 
     @pytest.mark.parametrize("a,mu", [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5), (1.0, 3.0)])
     def test_at_most_four_left_half_plane_roots(self, a, mu):
-        s = sp.singular_points(sp.PhysicalParams(a, mu))
+        params = sp.PhysicalParams(a, mu)
+        s = sp.singular_points(params)
         assert len(s) <= 4
-        for root, res in zip(s.roots, s.residuals):
+        for root in s:
             assert root.real <= 0
-            assert res < 1e-8
+            assert abs(sp.boundary_system_determinant(root, params)) < vf.SINGULAR_RESIDUAL
 
     def test_unit_parameters_all_candidates_are_squaring_artifacts(self):
         # every quartic root takes the spurious square-root branch here,
@@ -223,12 +224,11 @@ class TestSingularPoints:
             assert det > 1.0
 
     def test_verification_rechecks_reported_roots(self, monkeypatch):
-        # a frequency off the determinant's zero set, reported with a tiny
-        # residual, must fail the suite however small that residual is
+        # a frequency off the determinant's zero set, reported as a singular
+        # point, must fail the suite
         lam = next(complex(r) for r in np.roots(sp.singular_quartic_coefficients(P11))
                    if r.real < 0)
-        monkeypatch.setattr(sp, "singular_points",
-                            lambda params: sp.SingularSet((lam,), (1e-12,)))
+        monkeypatch.setattr(sp, "singular_points", lambda params: (lam,))
         report = vf.suite_boundary_matrix(P11)
         assert not report["passed"]
         assert report["worst_singular_residual"] > vf.SINGULAR_RESIDUAL
