@@ -235,12 +235,10 @@ def cmd_lqr(cfg, out_dir, z0_spec="heave"):
     z0 = _parse_z0(grid, z0_spec)
     solution = lqr_mod.care_solve(system, method=cfg["lqr"]["method"],
                                   tol=cfg["lqr"]["tol"], alpha0=cfg["lqr"]["alpha0"])
-    save_matrix(out_dir / "riccati.bin", solution.P)
-    np.savetxt(out_dir / "gains.csv", solution.gain[None, :], delimiter=",")
     comparison = lqr_mod.compare_feedbacks(
-        system, z0, (0.25, 0.5, 1.0, 2.0, 4.0), solution, T=240.0, dt=cfg["time"]["dt"])
-    comparison.write_csv(out_dir / "compare.csv")
-    _write_json(out_dir / "lqr.json", {
+        system, z0, (0.25, 0.5, 1.0, 2.0, 4.0), solution, T=240.0, dt=cfg["time"]["dt"],
+        scheme=cfg["time"]["scheme"])
+    summary = {
         "residual": solution.residual,
         "iterations": solution.iterations,
         "method": solution.method,
@@ -250,7 +248,13 @@ def cmd_lqr(cfg, out_dir, z0_spec="heave"):
         "relative_gap": comparison.relative_gap,
         "tail_exact": comparison.tail_exact,
         "optimal_is_best": comparison.optimal_is_best,
-    })
+    }
+    # nothing is written until every number is computed, so a run that
+    # fails leaves no artifact
+    save_matrix(out_dir / "riccati.bin", solution.P)
+    np.savetxt(out_dir / "gains.csv", solution.gain[None, :], delimiter=",")
+    comparison.write_csv(out_dir / "compare.csv")
+    _write_json(out_dir / "lqr.json", summary)
     return 0
 
 

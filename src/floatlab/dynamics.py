@@ -17,10 +17,18 @@ reduces it to the sampled columns (H, Hdot, q-+, the energy and the
 energy audit's two quadratic forms) while the block is still in cache,
 so it keeps no state history; ``simulate`` is its single chunk and
 keeps the history as well.  ``feedback_costs`` marches several
-feedback gains at once, as the columns of one block on one
-factorisation, and keeps only the running cost |u|^2 + |Hdot|^2; the
-cost beyond the horizon is priced by the caller from the final states
-(``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
+feedback gains at once on one factorisation and keeps only the running
+cost |u|^2 + |Hdot|^2, which needs two numbers a step, u = -K z and
+Hdot = C z.  So it carries the rows K, C and the weighted input row of
+each loop ``_BLOCK`` steps back through the adjoint of the loop's step
+(transposed solves on the same LU), and then reads a whole block of
+outputs from one batched product with the block's start states; the
+next start is F z + R v, with F the free step to the power ``_BLOCK``
+(log2 ``_BLOCK`` squarings) and R its response to the weighted inputs v.
+The squarings cost about 2 log2(_BLOCK) dim^3 flops, which the saved
+solves repay several times over at the default grid; the two break even
+near n_side 400.  The cost beyond the horizon is priced by the caller
+from the final states (``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ SCHEMES = ("trapezoidal", "implicit_euler")
 #: Steps per block that a march reduces to its sampled columns at once.
 #: At dim 399 a block and the temporaries of its three forms then stay in
 #: a 2 MB L2 cache; 128 and 256 rows made the march 15-20 % slower.
+#: ``feedback_costs`` advances by one block per dense product; a power of
+#: two, so that its free map Phi0^_BLOCK is a few squarings.
 _BLOCK = 64
 #: Rows of ``trajectory.csv`` formatted at once: bounds the text and the
 #: Python floats that formatting makes, 13 MB for 25,001 rows at once.
@@ -90,6 +100,45 @@ class Stepper:
             z1 -= self._lag * z
         # 0.0 - K z, not -(K z): the open loop's inputs stay +0.0
         return z1, 0.0 - np.vecdot(self.gain, z1.T)
+
+    def _free(self, x, trans):
+        """Phi0 x, or Phi0^T x for trans "T": the step with no input, Phi0 = M^-1/theta - lag I."""
+        s = self._lu.solve(x, trans)
+        s /= self.theta
+        s -= self._lag * x
+        return s
+
+    def block_maps(self, c):
+        """The maps that advance the m loops of an (m, dim) gain block ``_BLOCK`` steps at once.
+
+        Loop i steps by Phi_i = Phi0 + w v_i, with w = dt M^-1 B and
+        v_i = sigma_i K_i M^-1 its weighted input row (sigma_i the
+        Sherman-Morrison scale).  Returns ``reads``, whose (3*_BLOCK, dim)
+        slab i holds the rows K_i Phi_i^j, c Phi_i^j and v_i Phi_i^j for
+        j < _BLOCK, carried by the adjoint r Phi_i = r Phi0 + (r w) v_i in
+        transposed solves; the free map F = Phi0^_BLOCK, by squarings; and
+        R = [Phi0^(_BLOCK-1) w, ..., w].  A block then moves the start
+        states z to F z + R v, v being the weighted inputs that ``reads``
+        gives.
+        """
+        dim = self._dt_w.size
+        free = self._free(np.eye(dim), "N")
+        for _ in range(_BLOCK.bit_length() - 1):
+            free = free @ free
+        inputs = np.empty((dim, _BLOCK))
+        inputs[:, -1] = self._dt_w
+        for j in range(_BLOCK - 1, 0, -1):
+            inputs[:, j - 1] = self._free(inputs[:, j], "N")
+        m = self.gain.shape[0]
+        weighted = self._scale[:, None] * self._lu.solve(self.gain.T, "T").T
+        rows = np.stack([self.gain, np.broadcast_to(c, self.gain.shape), weighted], axis=1)
+        reads = np.empty((m, 3, _BLOCK, dim))
+        reads[:, :, 0] = rows
+        for j in range(1, _BLOCK):
+            free_rows = self._free(rows.reshape(3 * m, dim).T, "T").T.reshape(m, 3, dim)
+            rows = free_rows + (rows @ self._dt_w)[:, :, None] * weighted[:, None, :]
+            reads[:, :, j] = rows
+        return reads.reshape(m, 3 * _BLOCK, dim), free, inputs
 
 
 @dataclass
@@ -208,9 +257,15 @@ def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
 def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
     """Costs over [0, T] of the closed loops u = -K z from z0, one per row K of ``gains``.
 
-    The m loops march together as the columns of one (dim, m) block on a
-    single factorisation: each step is one solve with m right-hand sides.
-    Only the running cost |u|^2 + |Hdot|^2 is kept, not the state history.
+    The m loops share one factorisation and march ``_BLOCK`` steps per
+    block: one batched product of the start states with the rows of
+    ``Stepper.block_maps`` reads every step's u = -K z, Hdot = C z and
+    weighted input, and F z + R v moves to the next start.  A last part
+    of fewer than ``_BLOCK`` steps is stepped by ``Stepper.advance``.
+    The maps cost about 2 log2(_BLOCK) dim^3 flops of squarings, against
+    a sparse solve per step saved: the block march wins at the default
+    grid and breaks even near n_side 400.  Only the running cost
+    |u|^2 + |Hdot|^2 is kept, not the state history.
     Returns its m trapezoid integrals as an (m,) array and the final
     states z(T) as the columns of a (dim, m) block.
     """
@@ -218,11 +273,21 @@ def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
         raise ValueError("T and dt must be positive")
     n_steps = int(round(T / dt))
     gains = np.atleast_2d(np.asarray(gains, dtype=float))
-    z = np.repeat(state_vector(system, z0)[:, None], gains.shape[0], axis=1)
-    running = np.empty((n_steps + 1, gains.shape[0]))
-    running[0] = np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2
+    m = gains.shape[0]
+    z = np.repeat(state_vector(system, z0)[:, None], m, axis=1)
+    running = np.empty((n_steps + 1, m))
     stepper = Stepper(system, dt, scheme, gains)
-    for k in range(1, n_steps + 1):
+    n_blocks = n_steps // _BLOCK
+    if n_blocks:
+        reads, free, inputs = stepper.block_maps(system.C)
+        for k in range(0, n_blocks * _BLOCK, _BLOCK):
+            out = np.matmul(reads, z.T[:, :, None]).reshape(m, 3, _BLOCK)
+            u, hdot, v = out.transpose(1, 2, 0)  # each (_BLOCK, m)
+            running[k:k + _BLOCK] = u ** 2 + hdot ** 2
+            z = free @ z + inputs @ v
+    k = n_blocks * _BLOCK
+    running[k] = np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2
+    for k in range(k + 1, n_steps + 1):
         z, u = stepper.advance(z)
         running[k] = u ** 2 + (system.C @ z) ** 2
     return np.trapezoid(running, dx=dt, axis=0), z

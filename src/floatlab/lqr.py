@@ -203,19 +203,19 @@ class FeedbackComparison:
 
 
 def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
-                      T, dt) -> FeedbackComparison:
+                      T, dt, scheme) -> FeedbackComparison:
     """Simulate the optimal gain against the energy feedbacks u = -alpha*Hdot.
 
-    All the closed loops march together over the same horizon, as the
-    columns of one block on a single factorisation (``feedback_costs``),
-    and keep only the running cost; each J adds z(T)^T P z(T).  The
-    optimal row also records the Riccati-predicted cost <P z0, z0>; its
-    relative gap is the table's.  The optimal row is best when its exact
-    cost is within 1e-6 relative (plus 1e-12) of the least lower bound of
-    the energy rows.
+    All the closed loops march together over the same horizon with the
+    time-stepping ``scheme``, on a single factorisation and 64 steps per
+    dense product (``feedback_costs``), and keep only the
+    running cost; each J adds z(T)^T P z(T).  The optimal row also
+    records the Riccati-predicted cost <P z0, z0>; its relative gap is
+    the table's.  The optimal row is best when its exact cost is within
+    1e-6 relative (plus 1e-12) of the least lower bound of the energy rows.
     """
     gains = np.vstack([riccati.gain] + [alpha * system.C for alpha in alpha_grid])
-    horizon, z_end = feedback_costs(system, z0, gains, T, dt)
+    horizon, z_end = feedback_costs(system, z0, gains, T, dt, scheme)
     tails = np.vecdot(z_end, riccati.P @ z_end, axis=0)
     costs = horizon + tails
     predicted = riccati.predicted_cost(state_vector(system, z0))

@@ -55,6 +55,12 @@ SINGULAR_RESIDUAL = 1e-8
 
 #: Gaussian wave packets a side in each random resolvent input
 WAVE_PACKETS = 2
+#: random frequencies that suite_branch_cut classifies both ways
+BRANCH_CUT_SAMPLES = 10_000
+#: random frequencies off the cut at which suite_square_root checks omega
+SQUARE_ROOT_SAMPLES = 10_000
+#: random rates omega at which suite_halfline checks both norm bounds
+HALFLINE_TRIALS = 100
 #: frequencies of the resolvent-check verb and of suite_resolvent_consistency
 RESOLVENT_LAMBDAS = (1.0, 2 + 2j, 0.5 - 3j)
 
@@ -224,10 +230,10 @@ def suite_coupling_matrix(fault=None):
             "max_identity_defect": worst}
 
 
-def suite_branch_cut(params=sp.PhysicalParams(), n_samples=10_000, seed=0):
+def suite_branch_cut(params=sp.PhysicalParams(), seed=0):
     """Geometric vs sign characterization of the excluded set, plus scaling."""
     rng = np.random.default_rng(seed)
-    lams = branch_cut_samples(params, n_samples, rng)
+    lams = branch_cut_samples(params, BRANCH_CUT_SAMPLES, rng)
     disagreements = 0
     for lam in lams:
         if sp.on_branch_cut(lam, params) != ratio_on_cut(lam, params):
@@ -245,13 +251,13 @@ def suite_branch_cut(params=sp.PhysicalParams(), n_samples=10_000, seed=0):
             "scaling_disagreements": scale_bad}
 
 
-def suite_square_root(params=sp.PhysicalParams(), n_samples=10_000, seed=1):
+def suite_square_root(params=sp.PhysicalParams(), seed=1):
     """Principal-root properties of the Helmholtz rate omega."""
     rng = np.random.default_rng(seed)
     min_re = math.inf
     worst_sq = 0.0
     count = 0
-    while count < n_samples:
+    while count < SQUARE_ROOT_SAMPLES:
         lam = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
         try:
             if lam == 0 or sp.on_branch_cut(lam, params):
@@ -265,7 +271,7 @@ def suite_square_root(params=sp.PhysicalParams(), n_samples=10_000, seed=1):
         count += 1
     # classical identity Re sqrt(z) = sqrt((|z| + Re z)/2) off the cut
     worst_formula = 0.0
-    for _ in range(n_samples // 10):
+    for _ in range(SQUARE_ROOT_SAMPLES // 10):
         z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         if z.real < 0 and abs(z.imag) < 1e-12:
             continue
@@ -312,7 +318,7 @@ def suite_boundary_matrix(params=sp.PhysicalParams(), seed=2):
             "worst_singular_residual": worst_sing}
 
 
-def suite_halfline(params=sp.PhysicalParams(), n_trials=100, seed=3):
+def suite_halfline(params=sp.PhysicalParams(), seed=3):
     """Norm bounds, closed-form oracle and convergence order of the half-line solve.
 
     The decaying-extension bound is an equality in the continuum, so the
@@ -325,7 +331,7 @@ def suite_halfline(params=sp.PhysicalParams(), n_trials=100, seed=3):
     a, L, h = params.a, 20.0 * params.a, 0.002
     grid = np.arange(a, L + h / 2, h)
     worst_d = worst_r = -math.inf
-    for _ in range(n_trials):
+    for _ in range(HALFLINE_TRIALS):
         omega = complex(10 ** rng.uniform(-1, 1), rng.uniform(-10, 10))
         side = "right" if rng.random() < 0.5 else "left"
         g = grid if side == "right" else -grid[::-1]
@@ -625,7 +631,7 @@ def suite_lqr(params=sp.PhysicalParams(), n_side=48):
 
     # each simulated optimal cost carries its exact tail z(T)^T P z(T)
     tables = {name: lqr_mod.compare_feedbacks(system, dz.preset_state(grid, name), alphas,
-                                              nk, T=240.0, dt=0.03)
+                                              nk, T=240.0, dt=0.03, scheme="trapezoidal")
               for name, alphas in (("heave", (0.25, 0.5, 1.0, 2.0, 4.0)), ("bump", ()),
                                    ("flow", ()))}
     gaps = {name: table.relative_gap for name, table in tables.items()}

@@ -32,7 +32,7 @@ def test_criterion_01_coupling_matrix_inverse():
 
 
 def test_criterion_02_branch_cut_characterizations():
-    report = vf.suite_branch_cut(P11, 10_000, seed=0)
+    report = vf.suite_branch_cut(P11, seed=0)
     verdict(2, report["passed"],
             f"geometric vs sign test on {report['samples']} samples: "
             f"{report['disagreements']} disagreements")

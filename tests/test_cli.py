@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import floatlab
 from floatlab import cli
 from floatlab import discretization as dz
+from floatlab import dynamics as dyn
 from floatlab import verification as vf
 from floatlab.errors import CompatibilityViolation
 from floatlab.spectral import PhysicalParams
@@ -169,6 +170,17 @@ class TestLqrCommand:
         report = json.loads((out / "lqr.json").read_text())
         assert report["relative_gap"] <= 0.02
         assert report["optimal_is_best"] is True
+
+    def test_scheme_reaches_the_cost_table(self, tmp_path):
+        tables = []
+        for scheme in dyn.SCHEMES:
+            cfg = tmp_path / f"{scheme}.json"
+            cfg.write_text(json.dumps({"grid": {"n_side": 16}, "time": {"scheme": scheme}}))
+            out = tmp_path / scheme
+            assert cli.main(["--config", str(cfg), "--out", str(out), "lqr",
+                             "--z0", "heave"]) == 0
+            tables.append((out / "compare.csv").read_text())
+        assert tables[0] != tables[1]
 
     def test_sign_method_reports_its_steps(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -355,6 +367,14 @@ class TestNumericalFailure:
         assert done.returncode == 2
         assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
         assert not list((tmp_path / "out").glob("*.json"))
+
+    def test_failed_lqr_writes_no_artifact(self, tmp_path):
+        # the cost march overflows after the Riccati solve has succeeded
+        done = run_cli(tmp_path, "lqr", "--z0", "heave:H0=1e300")
+        assert done.returncode == 2
+        assert done.stderr.startswith("numerical failure: ")
+        for name in ("riccati.bin", "gains.csv", "compare.csv", "lqr.json"):
+            assert not (tmp_path / "out" / name).exists()
 
 
 class TestImportCost:

@@ -360,26 +360,37 @@ class TestEnergyBalance:
         assert got.to_json_dict() == want.to_json_dict()
 
 
+def assert_costs_match_marches(system, z0, gains, n_steps, scheme):
+    """feedback_costs against one simulate per gain (None the open loop), to 1e-12."""
+    dt = 0.05
+    rows = np.vstack([np.zeros(system.dim) if gain is None else gain for gain in gains])
+    costs, z_end = dyn.feedback_costs(system, z0, rows, T=n_steps * dt, dt=dt, scheme=scheme)
+    assert costs.shape == (len(gains),) and z_end.shape == (system.dim, len(gains))
+    for j, gain, z in zip(costs, gains, z_end.T):
+        traj = dyn.simulate(system, z0, T=n_steps * dt, dt=dt, gain=gain, scheme=scheme)
+        assert traj.times.size == n_steps + 1
+        want = np.trapezoid(traj.inputs ** 2 + traj.outputs() ** 2, traj.times)
+        assert want > 0.0
+        assert j == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.abs(z - traj.states[-1]).max() <= 1e-12 * np.abs(traj.states[-1]).max()
+
+
 class TestFeedbackCosts:
     @pytest.mark.parametrize("scheme", dyn.SCHEMES)
     def test_columns_match_separate_marches(self, scheme):
-        system = small_system(24)
-        z0 = dz.heave_state(system.grid)
-        gains = np.vstack([np.zeros(system.dim), system.C,
-                           lqr.care_solve(system).gain])
-        costs, z_end = dyn.feedback_costs(system, z0, gains, T=12.0, dt=0.05,
-                                          scheme=scheme)
-        assert costs.shape == (3,) and z_end.shape == (system.dim, 3)
         # the zero row is the open loop
-        open_loop = dyn.simulate(system, z0, T=12.0, dt=0.05, scheme=scheme)
-        references = [open_loop] + [
-            dyn.simulate(system, z0, T=12.0, dt=0.05, gain=row, scheme=scheme)
-            for row in gains[1:]]
-        for j, traj, z in zip(costs, references, z_end.T):
-            want = np.trapezoid(traj.inputs ** 2 + traj.outputs() ** 2, traj.times)
-            assert want > 0.0
-            assert j == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert np.abs(z - traj.states[-1]).max() <= 1e-12 * np.abs(traj.states[-1]).max()
+        system = small_system(24)
+        gains = [None, system.C, lqr.care_solve(system).gain]
+        assert_costs_match_marches(system, dz.heave_state(system.grid), gains, 240, scheme)
+
+    @pytest.mark.parametrize("scheme", dyn.SCHEMES)
+    @pytest.mark.parametrize("n_steps", [dyn._BLOCK // 2, 2 * dyn._BLOCK, 2 * dyn._BLOCK + 5],
+                             ids=["under_one_block", "two_blocks", "two_blocks_and_tail"])
+    def test_block_boundaries_match_separate_marches(self, scheme, n_steps):
+        # no block, two blocks and no stepped tail, two blocks and a tail of 5
+        system = small_system(24)
+        gains = [None, 2.0 * system.C, lqr.care_solve(system).gain]
+        assert_costs_match_marches(system, dz.bump_state(system.grid), gains, n_steps, scheme)
 
 
 class TestEnergyFeedbackInequality:

@@ -251,7 +251,8 @@ class TestCompareFeedbacks:
         system = small_system()
         solution = lqr.care_solve(system)
         table = lqr.compare_feedbacks(system, dz.rest_state(system.grid),
-                                      (0.5, 1.0), solution, T=5.0, dt=0.05)
+                                      (0.5, 1.0), solution, T=5.0, dt=0.05,
+                                      scheme="trapezoidal")
         assert all(row["J"] == 0.0 for row in table.rows)
 
     def test_optimal_beats_energy_feedbacks(self):
@@ -259,7 +260,7 @@ class TestCompareFeedbacks:
         solution = lqr.care_solve(system)
         table = lqr.compare_feedbacks(system, dz.heave_state(system.grid),
                                       (0.25, 0.5, 1.0, 2.0, 4.0), solution,
-                                      T=120.0, dt=0.05)
+                                      T=120.0, dt=0.05, scheme="trapezoidal")
         assert table.optimal_is_best
         assert table.relative_gap <= 0.02
         assert table.rows[0]["controller"] == "optimal"
@@ -271,7 +272,8 @@ class TestCompareFeedbacks:
         system = small_system(32)
         solution = lqr.care_solve(system)
         z0 = dz.heave_state(system.grid)
-        short, long = (lqr.compare_feedbacks(system, z0, (), solution, T=T, dt=0.05)
+        short, long = (lqr.compare_feedbacks(system, z0, (), solution, T=T, dt=0.05,
+                                             scheme="trapezoidal")
                        for T in (10.0, 120.0))
         assert short.optimal_cost == pytest.approx(long.optimal_cost, rel=1e-5)
 
@@ -281,7 +283,8 @@ class TestCompareFeedbacks:
         z0 = dz.heave_state(system.grid)
         costs = np.array([
             [row["J"] for row in lqr.compare_feedbacks(
-                system, z0, (0.25, 1.0, 4.0), solution, T=T, dt=0.05).rows[1:]]
+                system, z0, (0.25, 1.0, 4.0), solution, T=T, dt=0.05,
+                scheme="trapezoidal").rows[1:]]
             for T in (10.0, 20.0, 60.0, 120.0)])
         assert np.all(np.diff(costs, axis=0) >= -1e-9 * costs[:-1])
 
@@ -299,33 +302,62 @@ class TestCompareFeedbacks:
         # the default lqr comparison: six loops over 12,000 steps at dim 399
         system = small_system(100)
         solution = lqr.care_solve(system)
-        constructed = []
-        init = dyn.Stepper.__init__
+        constructed, advanced = [], []
+        init, advance = dyn.Stepper.__init__, dyn.Stepper.advance
 
         def spy(self, *args, **kwargs):
             constructed.append(args)
             init(self, *args, **kwargs)
 
+        def count(self, z):
+            advanced.append(1)
+            return advance(self, z)
+
         monkeypatch.setattr(dyn.Stepper, "__init__", spy)
+        monkeypatch.setattr(dyn.Stepper, "advance", count)
         tracemalloc.start()
         try:
             table = lqr.compare_feedbacks(system, dz.heave_state(system.grid),
                                           (0.25, 0.5, 1.0, 2.0, 4.0), solution,
-                                          T=240.0, dt=0.02)
+                                          T=240.0, dt=0.02, scheme="trapezoidal")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(constructed) == 1
+        # the blocks take all but the last 12,000 mod _BLOCK = 32 steps
+        assert len(advanced) == 12_000 % dyn._BLOCK <= dyn._BLOCK - 1
         history = 12_001 * system.dim * 8
         assert peak <= 0.25 * history
         assert table.optimal_is_best
         assert 0.0 < table.tail_exact
 
+    def test_costs_match_a_stepwise_march(self):
+        # the default comparison against one step at a time on a Stepper,
+        # the march that feedback_costs makes in blocks
+        system = small_system(100)
+        solution = lqr.care_solve(system)
+        z0 = dz.heave_state(system.grid)
+        alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
+        table = lqr.compare_feedbacks(system, z0, alphas, solution, T=240.0, dt=0.02,
+                                      scheme="trapezoidal")
+        gains = np.vstack([solution.gain] + [alpha * system.C for alpha in alphas])
+        stepper = dyn.Stepper(system, 0.02, "trapezoidal", gains)
+        z = np.repeat(z0.flatten(system.grid)[:, None], len(gains), axis=1)
+        running = [np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2]
+        for _ in range(12_000):
+            z, u = stepper.advance(z)
+            running.append(u ** 2 + (system.C @ z) ** 2)
+        want = np.trapezoid(np.array(running), dx=0.02, axis=0) \
+            + np.einsum("ij,ik,kj->j", z, solution.P, z)
+        got = np.array([row["J"] for row in table.rows])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min()
+
     def test_csv_export(self, tmp_path):
         system = small_system(32)
         solution = lqr.care_solve(system)
         table = lqr.compare_feedbacks(system, dz.heave_state(system.grid),
-                                      (1.0,), solution, T=60.0, dt=0.05)
+                                      (1.0,), solution, T=60.0, dt=0.05,
+                                      scheme="trapezoidal")
         path = tmp_path / "compare.csv"
         table.write_csv(path)
         lines = path.read_text().splitlines()
