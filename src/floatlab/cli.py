@@ -26,7 +26,7 @@ from . import dynamics as dyn
 from . import lqr as lqr_mod
 from . import spectral as sp
 from . import verification as vf
-from .errors import CompatibilityViolation, FloatLabError
+from .errors import CompatibilityViolation, FloatLabError, InvalidGeometry
 from .linalg import save_matrix
 
 DEFAULT_CONFIG = {
@@ -73,36 +73,28 @@ def _check_types(cfg, defaults, where=""):
                 raise ValueError(f"{name} must be an integer")
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a number")
-        elif not math.isfinite(value):
+        elif not abs(value) <= sys.float_info.max:  # NaN, inf or an int beyond any float
             raise ValueError(f"{name} must be finite")
 
 
 def validate_config(cfg):
+    """Types, keys, times and names; PhysicalParams and build_grid check the geometry."""
     _check_types(cfg, DEFAULT_CONFIG)
-    p, g, t = cfg["params"], cfg["grid"], cfg["time"]
-    if p["a"] <= 0 or p["mu"] <= 0:
-        raise ValueError("params.a and params.mu must be positive")
-    if g["n_side"] < 8:
-        raise ValueError("grid.n_side must be at least 8")
-    if g["L"] <= p["a"]:
-        raise ValueError("grid.L must exceed params.a")
-    if not 0 <= g["sponge_width"] < g["L"] - p["a"]:
-        raise ValueError("grid.sponge_width must lie in [0, L - a)")
+    t = cfg["time"]
     if t["dt"] <= 0 or t["T_max"] <= 0:
         raise ValueError("time.dt and time.T_max must be positive")
     if t["scheme"] not in dyn.SCHEMES:
         raise ValueError(f"time.scheme must be one of {', '.join(dyn.SCHEMES)}")
     if cfg["lqr"]["method"] not in lqr_mod.METHODS:
         raise ValueError(f"lqr.method must be one of {', '.join(lqr_mod.METHODS)}")
+    dz.build_grid(sp.PhysicalParams(**cfg["params"]), **cfg["grid"])
 
 
 def _build(cfg, sponge=True):
-    params = sp.PhysicalParams(cfg["params"]["a"], cfg["params"]["mu"])
-    g = cfg["grid"]
-    strength = g["sponge_strength"] if sponge else 0.0
-    width = g["sponge_width"] if sponge else 0.0
-    grid = dz.build_grid(params, g["L"], g["n_side"], width, strength)
-    return params, grid, dz.assemble(grid)
+    grid = dz.build_grid(sp.PhysicalParams(**cfg["params"]), **cfg["grid"])
+    if not sponge:
+        grid = grid.without_sponge()
+    return grid.params, grid, dz.assemble(grid)
 
 
 def _finite(text, what) -> float:
@@ -208,7 +200,7 @@ def cmd_resolvent_check(cfg, out_dir):
     return 0
 
 
-def cmd_simulate(cfg, out_dir, z0_spec="bump", controller="none"):
+def cmd_simulate(cfg, out_dir, z0_spec, controller):
     controller = _parse_controller(controller)
     params, grid, system = _build(cfg, sponge=True)
     z0 = _parse_z0(grid, z0_spec)
@@ -217,27 +209,25 @@ def cmd_simulate(cfg, out_dir, z0_spec="bump", controller="none"):
     if controller == "none":
         gain = None
     elif controller == "lqr":
-        solution = lqr_mod.care_solve(system, method=cfg["lqr"]["method"],
-                                      tol=cfg["lqr"]["tol"], alpha0=cfg["lqr"]["alpha0"])
-        gain = solution.gain
+        gain = lqr_mod.care_solve(system, **cfg["lqr"]).gain
     else:
         gain = controller * system.C
     traj = dyn.simulate_adaptive(system, z0, t["dt"], t["T_max"], gain=gain,
                                  scheme=t["scheme"])
-
+    # the audit comes before either file, so a run that fails leaves none
+    balance = dyn.energy_balance_report(traj).to_json_dict()
     traj.write_csv(out_dir / "trajectory.csv")
-    _write_json(out_dir / "energy_balance.json", dyn.energy_balance_report(traj).to_json_dict())
+    _write_json(out_dir / "energy_balance.json", balance)
     return 0
 
 
-def cmd_lqr(cfg, out_dir, z0_spec="heave"):
+def cmd_lqr(cfg, out_dir, z0_spec):
     params, grid, system = _build(cfg, sponge=True)
     z0 = _parse_z0(grid, z0_spec)
-    solution = lqr_mod.care_solve(system, method=cfg["lqr"]["method"],
-                                  tol=cfg["lqr"]["tol"], alpha0=cfg["lqr"]["alpha0"])
+    solution = lqr_mod.care_solve(system, **cfg["lqr"])
     comparison = lqr_mod.compare_feedbacks(
-        system, z0, (0.25, 0.5, 1.0, 2.0, 4.0), solution, T=240.0, dt=cfg["time"]["dt"],
-        scheme=cfg["time"]["scheme"])
+        system, z0, lqr_mod.COMPARISON_ALPHAS, solution, T=lqr_mod.COMPARISON_HORIZON,
+        dt=cfg["time"]["dt"], scheme=cfg["time"]["scheme"])
     summary = {
         "residual": solution.residual,
         "iterations": solution.iterations,
@@ -258,9 +248,8 @@ def cmd_lqr(cfg, out_dir, z0_spec="heave"):
     return 0
 
 
-def cmd_verify(cfg, out_dir, fault=None):
-    params = sp.PhysicalParams(cfg["params"]["a"], cfg["params"]["mu"])
-    suites = vf.run_all_suites(params, seed=cfg["seed"], fault=fault)
+def cmd_verify(cfg, out_dir, fault):
+    suites = vf.run_all_suites(sp.PhysicalParams(**cfg["params"]), cfg["seed"], fault)
     report = {"seed": cfg["seed"], "suites": suites,
               "all_passed": all(s["passed"] for s in suites)}
     _write_json(out_dir / "verify.json", report)
@@ -297,7 +286,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         validate_config(cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, InvalidGeometry) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -315,7 +304,7 @@ def main(argv=None) -> int:
             if args.command == "lqr":
                 return cmd_lqr(cfg, args.out, args.z0)
             if args.command == "verify":
-                return cmd_verify(cfg, args.out, fault=args.inject_fault)
+                return cmd_verify(cfg, args.out, args.inject_fault)
     except CompatibilityViolation as exc:
         print(f"incompatible initial data: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ emulate radiation to infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,11 @@ import scipy.sparse as sps
 
 from .errors import CompatibilityViolation, InvalidGeometry
 from .spectral import PhysicalParams, coupling_matrix
+
+#: Width of the default grid's sponge band, in units of the half-width a.
+SPONGE_WIDTH = 5.0
+#: Damping rate of the default grid's sponge at the truncation boundary.
+SPONGE_STRENGTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,12 @@ class Grid:
     params: PhysicalParams
     L: float
     n_side: int
-    spacing: float
     sponge_width: float
     sponge_strength: float
+
+    @property
+    def spacing(self) -> float:
+        return (self.L - self.params.a) / (self.n_side - 1)
 
     @property
     def x_left(self) -> np.ndarray:
@@ -96,7 +104,7 @@ class Grid:
         return self.sponge_strength * np.square(np.clip(ramp, 0.0, None))
 
     def without_sponge(self) -> "Grid":
-        return Grid(self.params, self.L, self.n_side, self.spacing, 0.0, 0.0)
+        return replace(self, sponge_width=0.0, sponge_strength=0.0)
 
 
 def build_grid(params, L, n_side, sponge_width=0.0, sponge_strength=0.0) -> Grid:
@@ -108,20 +116,13 @@ def build_grid(params, L, n_side, sponge_width=0.0, sponge_strength=0.0) -> Grid
     if not 0 <= sponge_width < L - params.a:
         raise InvalidGeometry(
             f"sponge_width={sponge_width} must lie in [0, L-a)={L - params.a}")
-    spacing = (L - params.a) / (n_side - 1)
-    return Grid(params, float(L), int(n_side), spacing,
-                float(sponge_width), float(sponge_strength))
+    return Grid(params, float(L), int(n_side), float(sponge_width), float(sponge_strength))
 
 
-def default_grid(params=PhysicalParams(), n_side=100, L=None,
-                 sponge_width=None, sponge_strength=1.0) -> Grid:
-    """Desk-scale defaults: L = 20a with a 5a-wide sponge of strength 1."""
-    a = params.a
-    if L is None:
-        L = 20.0 * a
-    if sponge_width is None:
-        sponge_width = 5.0 * a
-    return build_grid(params, L, n_side, sponge_width, sponge_strength)
+def default_grid(params, n_side=100, L=None) -> Grid:
+    """Desk-scale defaults: L = 20a and the sponge ``SPONGE_WIDTH``*a, ``SPONGE_STRENGTH``."""
+    L = 20.0 * params.a if L is None else L
+    return build_grid(params, L, n_side, SPONGE_WIDTH * params.a, SPONGE_STRENGTH)
 
 
 @dataclass

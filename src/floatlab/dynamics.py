@@ -49,6 +49,8 @@ SCHEMES = ("trapezoidal", "implicit_euler")
 #: ``feedback_costs`` advances by one block per dense product; a power of
 #: two, so that its free map Phi0^_BLOCK is a few squarings.
 _BLOCK = 64
+#: ``simulate_adaptive`` stops at a chunk end where |u|^2 + |Hdot|^2 is this fraction of its peak.
+STOP_RATIO = 1e-12
 #: Rows of ``trajectory.csv`` formatted at once: bounds the text and the
 #: Python floats that formatting makes, 13 MB for 25,001 rows at once.
 _CSV_ROWS = 1024
@@ -210,23 +212,23 @@ def simulate(system, z0, T, dt, gain=None, scheme="trapezoidal") -> Trajectory:
 
 
 def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
-                      stop_ratio=1e-12, chunk=25.0, history=False) -> Trajectory:
+                      chunk=25.0, history=False) -> Trajectory:
     """March the loop u = -K z until the running cost integrand dies out or t_max.
 
     ``gain`` is the row K; None is the open loop.  The stop test runs at
     the end of every ``chunk`` time units and compares |u|^2 + |Hdot|^2
-    there against its peak over the whole run; the system is not
+    there against ``STOP_RATIO`` times its running peak; the system is not
     exponentially stable, so t_max caps the horizon when decay is slow.
     One factorisation serves the whole run.  The states pass through a
     buffer of ``_BLOCK`` + 1 rows, the last state of a block being the
     first of the next, and only the sampled columns are kept; with
     ``history`` the buffer is the state history itself.
     """
-    if not (t_max > 0 and dt > 0):
-        raise ValueError("t_max and dt must be positive")
+    if not t_max > 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
+    stepper = Stepper(system, dt, scheme, gain)
     n_steps = int(round(t_max / dt))
     chunk_steps = max(1, int(round(chunk / dt)))
-    stepper = Stepper(system, dt, scheme, gain)
     forms = quadratic_forms(system.grid)
     # the history, or a buffer for one block and the state carried into it
     states = np.empty((n_steps + 1 if history else _BLOCK + 1, system.dim))
@@ -248,13 +250,13 @@ def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
             k += n
         g = inputs[start:end + 1] ** 2 + samples[1, start:end + 1] ** 2
         peak = max(peak, float(g.max()))
-        if peak > 0 and g[-1] <= stop_ratio * peak:
+        if peak > 0 and g[-1] <= STOP_RATIO * peak:
             break
     return Trajectory(dt * np.arange(k + 1), inputs[:k + 1], samples[:, :k + 1], system,
                       states[:k + 1] if history else None)
 
 
-def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
+def feedback_costs(system, z0, gains, T, dt, scheme):
     """Costs over [0, T] of the closed loops u = -K z from z0, one per row K of ``gains``.
 
     The m loops share one factorisation and march ``_BLOCK`` steps per
@@ -269,14 +271,14 @@ def feedback_costs(system, z0, gains, T, dt, scheme="trapezoidal"):
     Returns its m trapezoid integrals as an (m,) array and the final
     states z(T) as the columns of a (dim, m) block.
     """
-    if not (T > 0 and dt > 0):
-        raise ValueError("T and dt must be positive")
-    n_steps = int(round(T / dt))
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
     gains = np.atleast_2d(np.asarray(gains, dtype=float))
+    stepper = Stepper(system, dt, scheme, gains)
+    n_steps = int(round(T / dt))
     m = gains.shape[0]
     z = np.repeat(state_vector(system, z0)[:, None], m, axis=1)
     running = np.empty((n_steps + 1, m))
-    stepper = Stepper(system, dt, scheme, gains)
     n_blocks = n_steps // _BLOCK
     if n_blocks:
         reads, free, inputs = stepper.block_maps(system.C)

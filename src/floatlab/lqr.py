@@ -34,6 +34,10 @@ from .errors import NoConvergence, SingularMatrix, UnstableClosedLoop
 from .linalg import matrix_sign
 
 METHODS = ("newton_kleinman", "hamiltonian_sign")
+#: Weights of the feedbacks u = -alpha*Hdot that the ``lqr`` verb and suite set against P.
+COMPARISON_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+#: Horizon of that comparison's march; z(T)^T P z(T) prices the rest.
+COMPARISON_HORIZON = 240.0
 
 
 def lyapunov_solve(acl, q):

@@ -61,6 +61,8 @@ BRANCH_CUT_SAMPLES = 10_000
 SQUARE_ROOT_SAMPLES = 10_000
 #: random rates omega at which suite_halfline checks both norm bounds
 HALFLINE_TRIALS = 100
+#: n_side of the default grid whose generator suite_discretization checks
+DISCRETIZATION_N_SIDE = 100
 #: frequencies of the resolvent-check verb and of suite_resolvent_consistency
 RESOLVENT_LAMBDAS = (1.0, 2 + 2j, 0.5 - 3j)
 
@@ -230,7 +232,7 @@ def suite_coupling_matrix(fault=None):
             "max_identity_defect": worst}
 
 
-def suite_branch_cut(params=sp.PhysicalParams(), seed=0):
+def suite_branch_cut(params, seed=0):
     """Geometric vs sign characterization of the excluded set, plus scaling."""
     rng = np.random.default_rng(seed)
     lams = branch_cut_samples(params, BRANCH_CUT_SAMPLES, rng)
@@ -251,7 +253,7 @@ def suite_branch_cut(params=sp.PhysicalParams(), seed=0):
             "scaling_disagreements": scale_bad}
 
 
-def suite_square_root(params=sp.PhysicalParams(), seed=1):
+def suite_square_root(params, seed=1):
     """Principal-root properties of the Helmholtz rate omega."""
     rng = np.random.default_rng(seed)
     min_re = math.inf
@@ -284,7 +286,7 @@ def suite_square_root(params=sp.PhysicalParams(), seed=1):
             "worst_re_formula": worst_formula}
 
 
-def suite_boundary_matrix(params=sp.PhysicalParams(), seed=2):
+def suite_boundary_matrix(params, seed=2):
     """Symmetry, feedback shift, determinant form and singular points."""
     rng = np.random.default_rng(seed)
     worst_sym = worst_shift = worst_det = 0.0
@@ -318,7 +320,7 @@ def suite_boundary_matrix(params=sp.PhysicalParams(), seed=2):
             "worst_singular_residual": worst_sing}
 
 
-def suite_halfline(params=sp.PhysicalParams(), seed=3):
+def suite_halfline(params, seed=3):
     """Norm bounds, closed-form oracle and convergence order of the half-line solve.
 
     The decaying-extension bound is an equality in the continuum, so the
@@ -368,7 +370,7 @@ def suite_halfline(params=sp.PhysicalParams(), seed=3):
             "oracle_max_error": oracle_err, "manufactured_orders": orders}
 
 
-def suite_resolvent(params=sp.PhysicalParams(), seed=4):
+def suite_resolvent(params, seed=4):
     """Linearity and discrete consistency of the resolvent at one frequency."""
     grid = _resolvent_grid(params, 20.0, 100)
     system = dz.assemble(grid)
@@ -401,7 +403,7 @@ def suite_resolvent(params=sp.PhysicalParams(), seed=4):
             "linearity_defect": lin, "max_consistency_defect": max(defects)}
 
 
-def suite_resolvent_consistency(params=sp.PhysicalParams()):
+def suite_resolvent_consistency(params):
     """Discrete consistency of the resolvent and its order under refinement.
 
     Five draws at each of ``RESOLVENT_LAMBDAS``, each frequency's from a
@@ -466,7 +468,7 @@ def sweep_trend(norms):
     return float(norms[half:].max() / norms[:half].max())
 
 
-def suite_sector(params=sp.PhysicalParams()):
+def suite_sector(params):
     """Sector bounds behind the analytic semigroup, on log-radial samples.
 
     Re omega >= (1/4) sqrt(|lam| (1 - sin theta)/mu) beyond the radius
@@ -505,9 +507,9 @@ def suite_sector(params=sp.PhysicalParams()):
             "operator_trend": trends[1], "finite_norms": finite}
 
 
-def suite_discretization(params=sp.PhysicalParams(), n_side=100):
+def suite_discretization(params):
     """Generator structure: input column, equilibrium, spectrum, energy form."""
-    grid = dz.default_grid(params, n_side=n_side)
+    grid = dz.default_grid(params, n_side=DISCRETIZATION_N_SIDE)
     system = dz.assemble(grid)
     n = grid.n_side
 
@@ -536,7 +538,7 @@ def suite_discretization(params=sp.PhysicalParams(), n_side=100):
             "energy_matrix_asymmetry": sym, "energy_matrix_min_eig": min_eig}
 
 
-def suite_dynamics(params=sp.PhysicalParams(), seed=5):
+def suite_dynamics(params, seed=5):
     """Stepping oracle, equilibrium invariance, dissipation, linearity.
 
     The audit and the identity march a bump at 5a of width 2a, which scales
@@ -565,13 +567,13 @@ def suite_dynamics(params=sp.PhysicalParams(), seed=5):
     traj = dyn.simulate(system, bump(grid), T=3.0, dt=0.01)
     balance = dyn.energy_balance_report(traj)
 
-    rng = np.random.default_rng(seed)
-    za = rng.standard_normal(grid.layout.dim)
-    zb = rng.standard_normal(grid.layout.dim)
-    ta = dyn.simulate(system, za, T=1.0, dt=0.02)
-    tb = dyn.simulate(system, zb, T=1.0, dt=0.02)
-    tc = dyn.simulate(system, 0.3 * za + 0.7 * zb, T=1.0, dt=0.02)
-    lin = float(np.abs(tc.states - (0.3 * ta.states + 0.7 * tb.states)).max())
+    # z_a, z_b and z_c = 0.3 z_a + 0.7 z_b march as one block on one factorisation
+    za, zb = np.random.default_rng(seed).standard_normal((2, grid.layout.dim))
+    block = np.column_stack([za, zb, 0.3 * za + 0.7 * zb])
+    step, lin = dyn.Stepper(system, 0.02), 0.0
+    for _ in range(50):  # T = 1, every step compared
+        block = step.advance(block)[0]
+        lin = max(lin, float(np.abs(block[:, 2] - (0.3 * block[:, 0] + 0.7 * block[:, 1])).max()))
 
     fine = dz.assemble(dz.default_grid(params, n_side=100))
     closed = dyn.simulate(fine, dz.heave_state(fine.grid), T=60.0, dt=0.02, gain=fine.C)
@@ -600,7 +602,7 @@ def suite_dynamics(params=sp.PhysicalParams(), seed=5):
             "output_energy_margin": margin}
 
 
-def suite_lqr(params=sp.PhysicalParams(), n_side=48):
+def suite_lqr(params, n_side=48):
     """Riccati solvers: oracles, psd, residual, method agreement, feedback costs.
 
     The simulated optimal cost from the heave, bump and flow presets must
@@ -630,9 +632,9 @@ def suite_lqr(params=sp.PhysicalParams(), n_side=48):
     max_re_rest = float(re_sorted[-(nk.kernel_dim + 1)])
 
     # each simulated optimal cost carries its exact tail z(T)^T P z(T)
-    tables = {name: lqr_mod.compare_feedbacks(system, dz.preset_state(grid, name), alphas,
-                                              nk, T=240.0, dt=0.03, scheme="trapezoidal")
-              for name, alphas in (("heave", (0.25, 0.5, 1.0, 2.0, 4.0)), ("bump", ()),
+    tables = {name: lqr_mod.compare_feedbacks(system, dz.preset_state(grid, name), alphas, nk,
+                                              lqr_mod.COMPARISON_HORIZON, 0.03, "trapezoidal")
+              for name, alphas in (("heave", lqr_mod.COMPARISON_ALPHAS), ("bump", ()),
                                    ("flow", ()))}
     gaps = {name: table.relative_gap for name, table in tables.items()}
     passed = (scalar_err <= ROUNDOFF and sign_err <= 1e-10
@@ -650,7 +652,7 @@ def suite_lqr(params=sp.PhysicalParams(), n_side=48):
             "optimal_is_best": tables["heave"].optimal_is_best}
 
 
-def run_all_suites(params=sp.PhysicalParams(), seed=0, fault=None):
+def run_all_suites(params, seed, fault):
     """Run every suite; the seed offsets each seeded suite's generator."""
     return [
         suite_coupling_matrix(fault=fault),

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +19,9 @@ import floatlab
 from floatlab import cli
 from floatlab import discretization as dz
 from floatlab import dynamics as dyn
+from floatlab import lqr as lqr_mod
 from floatlab import verification as vf
-from floatlab.errors import CompatibilityViolation
+from floatlab.errors import CompatibilityViolation, InvalidGeometry
 from floatlab.spectral import PhysicalParams
 
 
@@ -29,6 +34,34 @@ def small_config(tmp_path):
         "seed": 3,
     }))
     return path
+
+
+#: Values that a patch writes over a config key: right and wrong types,
+#: non-finite and out-of-range numbers, and integers beyond every float.
+PATCH_VALUES = st.one_of(
+    st.floats(), st.integers(), st.sampled_from([0, -1, 1e-300, 1e308, 10 ** 400]),
+    st.booleans(), st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.sampled_from(list(dyn.SCHEMES) + list(lqr_mod.METHODS)),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def config_patch(draw):
+    """A user document: known keys over DEFAULT_CONFIG, at times an unknown key or section."""
+    patch = {}
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sorted(cli.DEFAULT_CONFIG)))
+        default = cli.DEFAULT_CONFIG[section]
+        if isinstance(default, dict) and draw(st.booleans()):
+            key = draw(st.one_of(st.sampled_from(sorted(default)), st.text(max_size=3)))
+            patch.setdefault(section, {})
+            if isinstance(patch[section], dict):
+                patch[section][key] = draw(PATCH_VALUES)
+        else:
+            patch[section] = draw(PATCH_VALUES)
+    if draw(st.booleans()):
+        patch[draw(st.text(max_size=5))] = draw(PATCH_VALUES)
+    return patch
 
 
 class TestConfig:
@@ -56,11 +89,13 @@ class TestConfig:
         {"sweep": {"theta": 2.0}},  # no such section: an unknown key
         {"lqr": {"method": "shooting"}},
     ])
-    def test_invalid_configs_exit_two(self, tmp_path, patch):
+    def test_invalid_configs_exit_two(self, tmp_path, capsys, patch):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(patch))
         code = cli.main(["--config", str(path), "--out", str(tmp_path), "spectrum"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         '{"grid": {"n_side": "100"}}',
@@ -86,6 +121,47 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(patch))
         cli.validate_config(cli.load_config(path))
+
+    def test_geometry_rules_are_the_constructors(self):
+        # the CLI states no geometry rule of its own: each message is the
+        # one PhysicalParams or build_grid raises
+        for patch, error in (({"params": {"mu": 0.0}}, ValueError),
+                             ({"grid": {"n_side": 7}}, InvalidGeometry),
+                             ({"grid": {"L": 1.0}}, InvalidGeometry),
+                             ({"grid": {"sponge_width": -1.0}}, InvalidGeometry)):
+            cfg = cli.load_config()
+            for section, values in patch.items():
+                cfg[section].update(values)
+            with pytest.raises(error) as raised:
+                cli.validate_config(cfg)
+            with pytest.raises(error, match=re.escape(str(raised.value))):
+                dz.build_grid(PhysicalParams(**cfg["params"]), **cfg["grid"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(patch=config_patch())
+    @example(patch={"grid": {"L": 10 ** 400}})
+    @example(patch={"params": {"a": 25.0}})
+    @example(patch={"grid": {"sponge_width": 19.0}, "params": {"a": 1}})
+    def test_fuzzed_config_passes_or_exits_two(self, patch):
+        # a rejected patch ends in exit 2 and one configuration-error line,
+        # never a traceback or exit 1; accepted patches run no verb here
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(patch))
+            try:
+                cli.validate_config(cli.load_config(path))
+            except Exception:  # rejected: main must say so in one line
+                pass
+            else:
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["--config", str(path), "--out", str(Path(tmp) / "out"),
+                                 "spectrum"])
+            assert code == 2
+            assert err.getvalue().startswith("configuration error: ")
+            assert err.getvalue().count("\n") == 1
+            assert not (Path(tmp) / "out").exists()
 
     def test_missing_config_file_exits_two(self, tmp_path):
         code = cli.main(["--config", str(tmp_path / "nope.json"),
@@ -367,6 +443,14 @@ class TestNumericalFailure:
         assert done.returncode == 2
         assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
         assert not list((tmp_path / "out").glob("*.json"))
+
+    def test_failed_simulate_writes_no_artifact(self, tmp_path):
+        # the march finishes and the energy audit overflows; the parent had
+        # written trajectory.csv by then
+        done = run_cli(tmp_path, "simulate", "--z0", "bump:amplitude=1e154")
+        assert done.returncode == 2
+        assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
+        assert not list((tmp_path / "out").iterdir())
 
     def test_failed_lqr_writes_no_artifact(self, tmp_path):
         # the cost march overflows after the Riccati solve has succeeded

@@ -30,6 +30,14 @@ class TestGrid:
         grid = dz.build_grid(P11, 5.0, 9, sponge_width=0.0, sponge_strength=3.0)
         assert np.all(grid.sponge(grid.x_right) == 0.0)
 
+    def test_default_sponge_scales_with_the_radius(self):
+        grid = dz.default_grid(PhysicalParams(2.0, 1.0), n_side=16)
+        assert (grid.L, grid.sponge_width, grid.sponge_strength) == (40.0, 10.0, 1.0)
+        bare = grid.without_sponge()
+        assert (bare.sponge_width, bare.sponge_strength) == (0.0, 0.0)
+        assert bare.spacing == grid.spacing == (40.0 - 2.0) / 15
+        assert np.all(bare.sponge(bare.x_right) == 0.0)
+
     def test_geometry_validation(self):
         with pytest.raises(InvalidGeometry):
             dz.build_grid(P11, 0.5, 10)
@@ -262,8 +270,8 @@ class TestQuadraticForms:
     @pytest.mark.parametrize("n,a", [(16, 1.0), (64, 1.0), (64, 0.5)])
     def test_forms_match_direct_quadrature(self, n, a, sponge):
         # np.gradient with edge_order=2 is the same stencil, written independently
-        grid = dz.default_grid(PhysicalParams(a, 1.0), n_side=n,
-                               sponge_strength=1.0 if sponge else 0.0)
+        grid = dz.default_grid(PhysicalParams(a, 1.0), n_side=n)
+        grid = grid if sponge else grid.without_sponge()
         _, gradient, sink = dz.quadratic_forms(grid)
         for state in random_states(grid, 5, seed=n):
             z = state.flatten(grid)

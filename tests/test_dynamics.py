@@ -193,12 +193,13 @@ class TestSimulateAdaptive:
         assert traj.times.size == 2 * steps + 1
         assert_same_samples(traj, ref)
 
-    def test_early_stop_returns_rows_up_to_the_stop(self):
+    def test_early_stop_returns_rows_up_to_the_stop(self, monkeypatch):
+        monkeypatch.setattr(dyn, "STOP_RATIO", 1e-6)
         system = small_system()
         z0 = dz.heave_state(system.grid)
         dt, chunk_steps = 0.05, 200
         traj = dyn.simulate_adaptive(system, z0, dt=dt, t_max=400.0, gain=system.C,
-                                     stop_ratio=1e-6, chunk=chunk_steps * dt)
+                                     chunk=chunk_steps * dt)
         k = traj.times.size - 1
         assert 0 < k < 8000 and k % chunk_steps == 0
         assert traj.states is None
@@ -373,6 +374,27 @@ def assert_costs_match_marches(system, z0, gains, n_steps, scheme):
         assert want > 0.0
         assert j == pytest.approx(want, rel=1e-12, abs=0.0)
         assert np.abs(z - traj.states[-1]).max() <= 1e-12 * np.abs(traj.states[-1]).max()
+
+
+class TestMarchArguments:
+    # the step is checked by Stepper alone, before any march divides by it
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_bad_step_is_a_value_error(self, dt):
+        system = small_system(16)
+        z0 = dz.heave_state(system.grid)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dyn.simulate_adaptive(system, z0, dt=dt, t_max=1.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dyn.feedback_costs(system, z0, system.C, T=1.0, dt=dt, scheme="trapezoidal")
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_bad_horizon_is_a_value_error(self, horizon):
+        system = small_system(16)
+        z0 = dz.heave_state(system.grid)
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            dyn.simulate_adaptive(system, z0, dt=0.1, t_max=horizon)
+        with pytest.raises(ValueError, match="T must be positive"):
+            dyn.feedback_costs(system, z0, system.C, T=horizon, dt=0.1, scheme="trapezoidal")
 
 
 class TestFeedbackCosts:
