@@ -55,31 +55,37 @@ def load_config(path=None) -> dict:
 
 
 def _check_types(cfg, defaults, where=""):
-    """Every key known and every value of its default's kind; numbers finite."""
+    """Every key known and every value of its default's kind; numbers finite.
+
+    Key names are quoted by ``repr``, so a key holding a newline still
+    makes a one-line message.
+    """
     for key in cfg:
         if key not in defaults:
-            raise ValueError(f"unknown key {where}{key}")
+            raise ValueError(f"unknown key {where + key!r}")
     for key, default in defaults.items():
         value, name = cfg[key], where + key
         if isinstance(default, dict):
             if not isinstance(value, dict):
-                raise ValueError(f"{name} must be an object")
+                raise ValueError(f"{name!r} must be an object")
             _check_types(value, default, name + ".")
         elif isinstance(default, str):
             if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string")
+                raise ValueError(f"{name!r} must be a string")
         elif isinstance(default, int):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer")
+                raise ValueError(f"{name!r} must be an integer")
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number")
+            raise ValueError(f"{name!r} must be a number")
         elif not abs(value) <= sys.float_info.max:  # NaN, inf or an int beyond any float
-            raise ValueError(f"{name} must be finite")
+            raise ValueError(f"{name!r} must be finite")
 
 
 def validate_config(cfg):
-    """Types, keys, times and names; PhysicalParams and build_grid check the geometry."""
+    """Types, keys, seed, times and names; PhysicalParams and build_grid check the geometry."""
     _check_types(cfg, DEFAULT_CONFIG)
+    if cfg["seed"] < 0:
+        raise ValueError("seed must be non-negative")
     t = cfg["time"]
     if t["dt"] <= 0 or t["T_max"] <= 0:
         raise ValueError("time.dt and time.T_max must be positive")
@@ -159,7 +165,7 @@ def cmd_spectrum(cfg, out_dir):
 
     rows = []
     for label, system in (("eig_sponge_on", system_on), ("eig_sponge_off", system_off)):
-        for lam in np.linalg.eigvals(system.A):
+        for lam in system.eigenvalues():
             rows.append((lam.real, lam.imag,
                          sp.spectrum_distance(complex(lam), params, singular), label))
     for root in singular:

@@ -9,11 +9,12 @@ flattened state vector is ordered
 where h lives on every node, the boundary fluxes at -+a are the scalar
 states q-, q+ themselves, and the truncation condition q(+-L) = 0
 eliminates the outer flux nodes.  :class:`StateLayout` (``grid.layout``)
-is the one place that order is written down; everything else indexes
-the state through its named slots.  Spatial derivatives are second-order
-central stencils with second-order one-sided closures at -+a and +-L; an
-optional sponge profile damps the flux near the truncation boundary to
-emulate radiation to infinity.
+is the one place that order, and the mirror x -> -x that splits it into
+even and odd halves (``StateLayout.mirror``), are written down;
+everything else indexes the state through its named slots.  Spatial
+derivatives are second-order central stencils with second-order
+one-sided closures at -+a and +-L; an optional sponge profile damps the
+flux near the truncation boundary to emulate radiation to infinity.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .spectral import PhysicalParams, coupling_matrix
 SPONGE_WIDTH = 5.0
 #: Damping rate of the default grid's sponge at the truncation boundary.
 SPONGE_STRENGTH = 1.0
+#: How far, relative to max|A|, the mirror may fail to commute with the
+#: generator: x_left is the mirror of x_right only to rounding.
+MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,23 @@ class StateLayout:
         }
         for name, slot in slots.items():
             object.__setattr__(self, name, slot)
+
+    @cached_property
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reflection x -> -x as ``(source, sign)``: (R z)[i] = sign[i] * z[source[i]].
+
+        H stays put, h(x) -> h(-x) and q(x) -> -q(-x): h_left swaps with
+        h_right reversed, q_left with q_right reversed and negated, and q-
+        with -q+.  R is its own inverse.
+        """
+        at = np.arange(self.dim)
+        source, sign = at.copy(), np.ones(self.dim)
+        for left, right in ((self.h_left, self.h_right), (self.q_left, self.q_right)):
+            source[left], source[right] = at[right][::-1], at[left][::-1]
+        source[[self.q_minus, self.q_plus]] = self.q_plus, self.q_minus
+        sign[self.q_left] = sign[self.q_right] = -1.0
+        sign[[self.q_minus, self.q_plus]] = -1.0
+        return source, sign
 
 
 @dataclass(frozen=True)
@@ -179,11 +200,31 @@ class State:
                    q_left, q_right)
 
 
+def _parity_basis(source, sign, parity) -> sps.csr_array:
+    """Orthonormal basis (dim x k, sparse) of the states z with R z = parity * z.
+
+    R is the signed permutation ``(source, sign)``.  A slot that R fixes
+    with the wanted sign gives the column e_i; a swapped pair i < j gives
+    (e_i + parity*sign[i] e_j)/sqrt(2).  Columns follow their first slot.
+    """
+    at = np.arange(source.size)
+    lead = at[(at < source) | ((at == source) & (sign == parity))]
+    partner = source[lead]
+    paired = partner != lead
+    cols = np.arange(lead.size)
+    half = np.sqrt(0.5)
+    values = np.r_[np.where(paired, half, 1.0), parity * sign[lead[paired]] * half]
+    return sps.csr_array((values, (np.r_[lead, partner[paired]], np.r_[cols, cols[paired]])),
+                         shape=(source.size, lead.size))
+
+
 @dataclass(frozen=True)
 class SemiDiscreteSystem:
     """Dense generator, input column, output row and the generator's kernel.
 
-    u = -C z feeds energy back.
+    u = -C z feeds energy back.  The mirror x -> -x fixes B and C, and A
+    commutes with it, so the system splits into a mirror-even half, which
+    input and output see, and an odd half, which neither does.
     """
 
     A: np.ndarray
@@ -215,6 +256,22 @@ class SemiDiscreteSystem:
         """
         if self.grid is None:
             return np.zeros((self.dim, 0))
+        return np.linalg.qr(np.column_stack(self._kernel_modes()))[0]
+
+    @cached_property
+    def even_kernel(self) -> np.ndarray:
+        """Orthonormal basis (dim x 2) of the kernel's mirror-even part.
+
+        The rest mode and the sum of the two combs, which the mirror swaps;
+        their difference is odd.  Empty, (dim x 0), without a grid.
+        """
+        if self.grid is None:
+            return np.zeros((self.dim, 0))
+        rest, left, right = self._kernel_modes()
+        return np.linalg.qr(np.column_stack([rest, left + right]))[0]
+
+    def _kernel_modes(self):
+        """The rest mode and the left and right combs of :attr:`kernel`, unnormalised."""
         lay, n = self.grid.layout, self.grid.n_side
         rest, left, right = np.zeros((3, lay.dim))
         rest[lay.H] = 1.0
@@ -222,7 +279,49 @@ class SemiDiscreteSystem:
         # h_left ends at -a and h_right starts at +a: odd steps from the solid
         left[lay.h_left][n - 2::-2] = 1.0
         right[lay.h_right][1::2] = 1.0
-        return np.linalg.qr(np.column_stack([rest, left, right]))[0]
+        return rest, left, right
+
+    def _parity(self, parity) -> sps.csr_array:
+        if self.grid is None:  # no mirror is known: every state counts as even
+            return _parity_basis(np.arange(self.dim), np.ones(self.dim), parity)
+        return _parity_basis(*self.grid.layout.mirror, parity)
+
+    @cached_property
+    def even_basis(self) -> sps.csr_array:
+        """Orthonormal basis Q_e (dim x 2n, sparse) of the mirror-even states.
+
+        One column is e_H; each other pairs a slot with its mirror image.
+        A system built by hand without a grid gets the identity.
+        """
+        return self._parity(1.0)
+
+    @cached_property
+    def odd_basis(self) -> sps.csr_array:
+        """Orthonormal basis Q_o (dim x 2n-1, sparse) of the odd states; none without a grid."""
+        return self._parity(-1.0)
+
+    @cached_property
+    def mirror_halves(self) -> tuple["SemiDiscreteSystem", np.ndarray]:
+        """``(even, a_odd)``: the system on Q_e^T z, and the generator on Q_o^T z.
+
+        The split is checked, never assumed: the odd parts of B and C must
+        be zero bit for bit, and what A carries between the halves at most
+        ``MIRROR_TOL`` max|A|; otherwise ValueError.  ``even`` has no grid.
+        """
+        qe, qo = self.even_basis, self.odd_basis
+        if np.any(qo.T @ self.B) or np.any(self.C @ qo):
+            raise ValueError("the input column or the output row is not mirror-even")
+        even_rows, odd_rows = qe.T @ self.A, qo.T @ self.A
+        leak = max(np.abs(even_rows @ qo).max(initial=0.0),
+                   np.abs(odd_rows @ qe).max(initial=0.0))
+        if leak > MIRROR_TOL * np.abs(self.A).max():
+            raise ValueError(f"the generator couples the mirror halves ({leak:.3e})")
+        return SemiDiscreteSystem(even_rows @ qe, qe.T @ self.B, self.C @ qe, None), odd_rows @ qo
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A: those of its even half, then those of its odd half."""
+        even, a_odd = self.mirror_halves
+        return np.concatenate([np.linalg.eigvals(even.A), np.linalg.eigvals(a_odd)])
 
 
 def _nodal_operators(grid):

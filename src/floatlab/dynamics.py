@@ -27,7 +27,9 @@ next start is F z + R v, with F the free step to the power ``_BLOCK``
 (log2 ``_BLOCK`` squarings) and R its response to the weighted inputs v.
 The squarings cost about 2 log2(_BLOCK) dim^3 flops, which the saved
 solves repay several times over at the default grid; the two break even
-near n_side 400.  The cost beyond the horizon is priced by the caller
+near dim 1600.  ``lqr.compare_feedbacks`` marches the mirror-even half,
+of dim 2 n_side, so there the break-even is near n_side 800 (n_side 400
+on the full state).  The cost beyond the horizon is priced by the caller
 from the final states (``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
 """
 
@@ -266,7 +268,8 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
     of fewer than ``_BLOCK`` steps is stepped by ``Stepper.advance``.
     The maps cost about 2 log2(_BLOCK) dim^3 flops of squarings, against
     a sparse solve per step saved: the block march wins at the default
-    grid and breaks even near n_side 400.  Only the running cost
+    grid and breaks even near dim 1600 (n_side 800 on the even half that
+    ``lqr.compare_feedbacks`` marches).  Only the running cost
     |u|^2 + |Hdot|^2 is kept, not the state history.
     Returns its m trapezoid integrals as an (m,) array and the final
     states z(T) as the columns of a (dim, m) block.

@@ -14,6 +14,19 @@ then it also satisfies the original equation: it is the minimal
 nonnegative solution, under which trajectories that never produce output
 cost nothing.
 
+Every dense solve runs on half the state.  The geometry is symmetric
+about the solid's axis: under the mirror x -> -x (h(x) -> h(-x),
+q(x) -> -q(-x), H fixed) the input column and the output row are even
+and A commutes with the mirror.  So the odd states are neither driven
+nor observed, and an odd state never feeds the even ones: the minimal
+solution vanishes on them, and with Q_e an orthonormal basis of the even
+states it is P = Q_e P_e Q_e^T, P_e solving the Riccati equation of
+(Q_e^T A Q_e, Q_e^T B, C Q_e), of dimension 2n against 4n - 1.  Of the
+three kernel modes only the rest mode and the sum of the combs are even,
+so that half deflates two.  The split is checked before each solve
+(``SemiDiscreteSystem.mirror_halves``); a system built by hand has no
+mirror and is all even.
+
 Two independent solvers are provided and cross-checked: Newton-Kleinman
 (a sequence of Lyapunov equations from a stabilizing gain) and the
 matrix-sign iteration on the Hamiltonian block matrix.
@@ -147,15 +160,21 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
                max_iter=60, keep_iterates=False) -> RiccatiSolution:
     """Minimal nonnegative solution of A^T P + P A - P B B^T P + C^T C = 0.
 
-    The structural kernel of ``system`` is deflated first; a system built
-    by hand without a grid has none.  ``alpha0`` scales the initial
+    The equation is solved on the mirror-even half of ``system``
+    (``SemiDiscreteSystem.mirror_halves``, which checks the split), after
+    deflating the even part of the structural kernel; a system built by
+    hand without a grid is all even and has no kernel.  P = Q_e P_e Q_e^T
+    and the kept iterates are lifted back to the full state; the residual
+    is that of the full equation.  ``alpha0`` scales the initial
     stabilizing gain alpha0 * C (the energy feedback u = -alpha0*Hdot).
     ``method`` is one of ``METHODS``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    a, b, c = system.A, system.B, system.C
-    shifted = deflate_zero_modes(a, b, c, system.kernel)
+    even, _ = system.mirror_halves
+    basis = system.even_basis
+    a, b, c = even.A, even.B, even.C
+    shifted = deflate_zero_modes(a, b, c, basis.T @ system.even_kernel)
     gain0 = alpha0 * c
 
     if method == "newton_kleinman":
@@ -170,8 +189,14 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
         p, iterations = _hamiltonian_sign(shifted, b, c, max_iter)
         iterates = []
 
-    return RiccatiSolution(p, b @ p, _full_residual(a, b, c, p), iterations, method,
-                           kernel_dim=system.kernel.shape[1], iterates=iterates)
+    def lift(x):
+        x = basis @ x @ basis.T
+        return 0.5 * (x + x.T)
+
+    p = lift(p)
+    return RiccatiSolution(p, system.B @ p, _full_residual(system.A, system.B, system.C, p),
+                           iterations, method, kernel_dim=system.kernel.shape[1],
+                           iterates=[lift(x) for x in iterates])
 
 
 @dataclass
@@ -213,16 +238,21 @@ def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
     All the closed loops march together over the same horizon with the
     time-stepping ``scheme``, on a single factorisation and 64 steps per
     dense product (``feedback_costs``), and keep only the
-    running cost; each J adds z(T)^T P z(T).  The optimal row also
-    records the Riccati-predicted cost <P z0, z0>; its relative gap is
-    the table's.  The optimal row is best when its exact cost is within
+    running cost; each J adds z(T)^T P z(T).  Every gain is mirror-even,
+    so u, Hdot and z(T)^T P z(T) depend only on the even part Q_e^T z0,
+    and the loops march on the even half of ``system``.  The optimal row
+    also records the Riccati-predicted cost <P z0, z0>; its relative gap
+    is the table's.  The optimal row is best when its exact cost is within
     1e-6 relative (plus 1e-12) of the least lower bound of the energy rows.
     """
-    gains = np.vstack([riccati.gain] + [alpha * system.C for alpha in alpha_grid])
-    horizon, z_end = feedback_costs(system, z0, gains, T, dt, scheme)
-    tails = np.vecdot(z_end, riccati.P @ z_end, axis=0)
+    even, _ = system.mirror_halves
+    basis = system.even_basis
+    z0 = state_vector(system, z0)
+    gains = np.vstack([riccati.gain @ basis] + [alpha * even.C for alpha in alpha_grid])
+    horizon, z_end = feedback_costs(even, basis.T @ z0, gains, T, dt, scheme)
+    tails = np.vecdot(z_end, (basis.T @ riccati.P @ basis) @ z_end, axis=0)
     costs = horizon + tails
-    predicted = riccati.predicted_cost(state_vector(system, z0))
+    predicted = riccati.predicted_cost(z0)
     rows = [{"controller": "optimal", "J": float(costs[0]), "predicted": predicted}]
     rows += [{"controller": f"alpha={alpha:g}", "J": float(j)}
              for alpha, j in zip(alpha_grid, costs[1:])]

@@ -524,7 +524,7 @@ def suite_discretization(params):
     rest = dz.State(2.5, np.full(n, 2.5), np.full(n, 2.5), np.zeros(n), np.zeros(n))
     eq_err = float(np.abs(system.A @ rest.flatten(grid)).max())
 
-    ev = np.linalg.eigvals(dz.assemble(grid.without_sponge()).A)
+    ev = dz.assemble(grid.without_sponge()).eigenvalues()
     max_re = float(ev.real.max())
 
     w = dz.quadratic_forms(grid)[0].toarray()

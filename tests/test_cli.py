@@ -88,6 +88,7 @@ class TestConfig:
         {"time": {"scheme": "leapfrog"}},
         {"sweep": {"theta": 2.0}},  # no such section: an unknown key
         {"lqr": {"method": "shooting"}},
+        {"seed": -1},
     ])
     def test_invalid_configs_exit_two(self, tmp_path, capsys, patch):
         path = tmp_path / "bad.json"
@@ -137,8 +138,17 @@ class TestConfig:
             with pytest.raises(error, match=re.escape(str(raised.value))):
                 dz.build_grid(PhysicalParams(**cfg["params"]), **cfg["grid"])
 
+    def test_negative_seed_option_is_a_configuration_error(self, tmp_path, capsys):
+        # numpy's generators take no negative seed; the config check says
+        # so before any verb draws from one
+        code = cli.main(["--seed", "-1", "--out", str(tmp_path / "out"), "resolvent-check"])
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: seed must be non-negative\n"
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=200, deadline=None)
     @given(patch=config_patch())
+    @example(patch={"grid": 0.0, "\n": 0.0})
     @example(patch={"grid": {"L": 10 ** 400}})
     @example(patch={"params": {"a": 25.0}})
     @example(patch={"grid": {"sponge_width": 19.0}, "params": {"a": 1}})

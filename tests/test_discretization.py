@@ -145,6 +145,56 @@ class TestAssemble:
         assert system.C @ z == pytest.approx((system.A @ z)[0])
 
 
+class TestMirror:
+    def test_mirror_is_the_reflection_of_the_fields(self):
+        # x -> -x written on the nodal fields: h(x) -> h(-x), q(x) -> -q(-x)
+        grid = dz.build_grid(P11, 5.0, 11)
+        rng = np.random.default_rng(3)
+        n = grid.n_side
+        s = dz.State(rng.standard_normal(), *rng.standard_normal((4, n)))
+        s.q_left[0] = s.q_right[-1] = 0.0
+        image = dz.State(s.H, s.h_right[::-1], s.h_left[::-1], -s.q_right[::-1],
+                         -s.q_left[::-1])
+        source, sign = grid.layout.mirror
+        z = s.flatten(grid)
+        assert np.array_equal(sign * z[source], image.flatten(grid))
+        assert np.array_equal(source[source], np.arange(grid.layout.dim))
+
+    def test_halves_carry_the_spectrum(self):
+        for n_side in (24, 25):
+            system = dz.assemble(dz.default_grid(P11, n_side=n_side))
+            even, a_odd = system.mirror_halves
+            assert even.A.shape == (2 * n_side, 2 * n_side)
+            assert a_odd.shape == (2 * n_side - 1, 2 * n_side - 1)
+            halves, full = system.eigenvalues(), np.linalg.eigvals(system.A)
+            assert halves.size == full.size
+            # every eigenvalue of either list lies next to one of the other
+            gaps = np.abs(halves[:, None] - full[None, :])
+            assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) \
+                <= 1e-12 * np.abs(full).max()
+
+    def test_system_without_a_grid_is_all_even(self):
+        system = dz.SemiDiscreteSystem(np.diag([-1.0, -2.0]), np.ones(2), np.ones(2), None)
+        assert np.array_equal(system.even_basis.toarray(), np.eye(2))
+        assert system.odd_basis.shape == (2, 0)
+        assert system.even_kernel.shape == (2, 0)
+        even, a_odd = system.mirror_halves
+        assert np.array_equal(even.A, system.A) and a_odd.shape == (0, 0)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_one_sided_perturbation_rejected(self, side):
+        grid = dz.default_grid(P11, n_side=24)
+        system = dz.assemble(grid)
+        lay = grid.layout
+        a, b = system.A.copy(), system.B.copy()
+        if side == "A":
+            a[lay.h_right.start + 3, lay.q_right.start + 3] += 1e-6
+        else:
+            b[lay.q_plus] *= 1.0 + 1e-15
+        with pytest.raises(ValueError):
+            dz.SemiDiscreteSystem(a, b, system.C, grid).mirror_halves
+
+
 def checkerboard_pair(n_side, L, sponge):
     """n_side^2 * rate of the k = 1 checkerboard pair, and how much B sees it.
 

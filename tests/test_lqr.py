@@ -194,6 +194,111 @@ class TestParameterSweep:
         assert nk.residual <= 1e-8 * (1.0 + p_norm ** 2)
         assert np.linalg.norm(nk.P - hs.P, "fro") / p_norm <= vf.METHOD_GAP
 
+    @pytest.mark.parametrize("a, mu, sponge, n_side", SWEEP)
+    def test_mirror_splits_the_system(self, a, mu, sponge, n_side):
+        grid = dz.default_grid(PhysicalParams(a, mu), n_side=n_side)
+        system = dz.assemble(grid if sponge else grid.without_sponge())
+        # what care_solve relies on: the mirror fixes B and C and commutes
+        # with A, and Q_e, Q_o split the state and the kernel
+        dim = system.dim
+        source, sign = grid.layout.mirror
+        reflect = sign[:, None] * np.eye(dim)[source]
+        assert np.array_equal(reflect @ reflect, np.eye(dim))
+        assert np.abs(reflect @ system.A @ reflect - system.A).max() \
+            <= 1e-14 * np.abs(system.A).max()
+        assert np.array_equal(reflect @ system.B, system.B)
+        assert np.array_equal(reflect @ system.C, system.C)
+
+        even, odd = system.even_basis.toarray(), system.odd_basis.toarray()
+        assert even.shape == (dim, 2 * n_side) and odd.shape == (dim, 2 * n_side - 1)
+        both = np.hstack([even, odd])
+        assert np.abs(both.T @ both - np.eye(dim)).max() <= 1e-15
+        assert np.array_equal(reflect @ even, even) and np.array_equal(reflect @ odd, -odd)
+
+        # the kernel splits 2 + 1: the rest mode and the sum of the combs
+        # are even, their difference odd
+        z, z_even = system.kernel, system.even_kernel
+        assert z_even.shape == (dim, 2)
+        assert np.abs(z_even.T @ z_even - np.eye(2)).max() <= 1e-14
+        assert np.abs(z_even - z @ (z.T @ z_even)).max() <= 1e-14
+        assert np.abs(odd.T @ z_even).max() <= 1e-15
+        assert np.linalg.matrix_rank(odd.T @ z, tol=1e-12) == 1
+
+
+def full_newton_kleinman(system):
+    """Newton-Kleinman on the whole state, from the energy feedback u = -Hdot."""
+    shifted = lqr.deflate_zero_modes(system.A, system.B, system.C, system.kernel)
+    gain = system.C
+    for _ in range(30):
+        p = lqr.lyapunov_solve(shifted - np.outer(system.B, gain),
+                               np.outer(system.C, system.C) + np.outer(gain, gain))
+        gain, previous = system.B @ p, gain
+        if np.linalg.norm(gain - previous) <= 1e-13 * np.linalg.norm(gain):
+            return p
+    raise AssertionError("full-size Newton-Kleinman did not converge")
+
+
+class TestMirrorHalf:
+    @pytest.mark.parametrize("n_side", [24, 25])
+    @pytest.mark.parametrize("method", lqr.METHODS)
+    def test_lifted_solution_is_the_full_solution(self, n_side, method):
+        system = small_system(n_side)
+        solution = lqr.care_solve(system, method=method)
+        reference = full_newton_kleinman(system)
+        assert np.linalg.norm(solution.P - reference, "fro") \
+            <= 1e-12 * np.linalg.norm(reference, "fro")
+        # P vanishes on the odd half bit for bit, and is symmetric bit for bit
+        odd = system.odd_basis
+        assert np.all(odd.T @ solution.P == 0.0)
+        assert np.array_equal(solution.P, solution.P.T)
+        assert solution.P.shape == (system.dim, system.dim)
+        assert solution.kernel_dim == 3
+
+    def test_iterates_are_lifted(self):
+        system = small_system(24)
+        solution = lqr.care_solve(system, keep_iterates=True)
+        assert len(solution.iterates) == solution.iterations
+        assert all(p.shape == (system.dim, system.dim) for p in solution.iterates)
+        assert np.array_equal(solution.iterates[-1], solution.P)
+
+    def test_generator_coupling_the_halves_rejected(self):
+        system = small_system(24)
+        lay = system.grid.layout
+        a = system.A.copy()
+        a[lay.h_left.start + 2, lay.q_left.start + 2] *= 1.0 + 1e-6
+        for method in lqr.METHODS:
+            with pytest.raises(ValueError):
+                lqr.care_solve(dz.SemiDiscreteSystem(a, system.B, system.C, system.grid),
+                               method=method)
+
+    @pytest.mark.parametrize("method", lqr.METHODS)
+    def test_dense_work_runs_on_the_even_half(self, method, monkeypatch):
+        # every dense factorisation sees at most 2n rows, and the Hamiltonian
+        # of the sign method 4n: what the state dimension 4n - 1 halves to
+        n_side = 48
+        system = small_system(n_side)
+        rows = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(x, *args, **kwargs):
+                rows.setdefault(name, []).append(np.shape(x)[0])
+                return original(x, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        spy(sla, "schur")
+        spy(sla.lapack, "dgetrf")
+        spy(np.linalg, "solve")
+        spy(np.linalg, "eigvals")
+        lqr.care_solve(system, method=method)
+        if method == "newton_kleinman":
+            assert rows.keys() == {"schur", "solve"}
+        else:
+            assert rows.keys() == {"dgetrf", "solve", "eigvals"}
+        for name, sizes in rows.items():
+            assert max(sizes) <= (4 if name == "dgetrf" else 2) * n_side, (name, sizes)
+
 
 class TestCareFullSystem:
     @pytest.fixture(scope="class")
@@ -351,6 +456,28 @@ class TestCompareFeedbacks:
             + np.einsum("ij,ik,kj->j", z, solution.P, z)
         got = np.array([row["J"] for row in table.rows])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min()
+
+    def test_odd_initial_state_costs_as_on_the_full_state(self):
+        # the bump carries an odd part, which neither the gains nor P see:
+        # the even march gives the costs of a full-size stepwise march
+        system = small_system(32)
+        solution = lqr.care_solve(system)
+        z0 = dz.bump_state(system.grid)
+        alphas = (0.5, 2.0)
+        table = lqr.compare_feedbacks(system, z0, alphas, solution, T=20.0, dt=0.05,
+                                      scheme="trapezoidal")
+        gains = np.vstack([solution.gain] + [alpha * system.C for alpha in alphas])
+        stepper = dyn.Stepper(system, 0.05, "trapezoidal", gains)
+        z = np.repeat(z0.flatten(system.grid)[:, None], len(gains), axis=1)
+        running = [np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2]
+        for _ in range(400):
+            z, u = stepper.advance(z)
+            running.append(u ** 2 + (system.C @ z) ** 2)
+        want = np.trapezoid(np.array(running), dx=0.05, axis=0) \
+            + np.einsum("ij,ik,kj->j", z, solution.P, z)
+        got = np.array([row["J"] for row in table.rows])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min()
+        assert table.predicted_optimal == solution.predicted_cost(z0.flatten(system.grid))
 
     def test_csv_export(self, tmp_path):
         system = small_system(32)
