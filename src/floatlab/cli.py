@@ -298,7 +298,7 @@ def main(argv=None) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     # an overflow or invalid operation is a numerical failure, never a NaN
-    # or infinity in an artifact
+    # or infinity in an artifact; so is an array too large to allocate
     try:
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "spectrum":
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except CompatibilityViolation as exc:
         print(f"incompatible initial data: {exc}", file=sys.stderr)
         return 3
-    except (FloatLabError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (FloatLabError, np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -140,10 +140,9 @@ def build_grid(params, L, n_side, sponge_width=0.0, sponge_strength=0.0) -> Grid
     return Grid(params, float(L), int(n_side), float(sponge_width), float(sponge_strength))
 
 
-def default_grid(params, n_side=100, L=None) -> Grid:
+def default_grid(params, n_side=100) -> Grid:
     """Desk-scale defaults: L = 20a and the sponge ``SPONGE_WIDTH``*a, ``SPONGE_STRENGTH``."""
-    L = 20.0 * params.a if L is None else L
-    return build_grid(params, L, n_side, SPONGE_WIDTH * params.a, SPONGE_STRENGTH)
+    return build_grid(params, 20.0 * params.a, n_side, SPONGE_WIDTH * params.a, SPONGE_STRENGTH)
 
 
 @dataclass
@@ -490,31 +489,13 @@ def preset_state(grid, name, **kwargs) -> State:
     return factory(grid, **kwargs)
 
 
-def energy(state: State, grid: Grid) -> float:
-    """Total energy: exterior trapezoid quadrature plus exact interior part.
-
-    Under the solid the height equals H and the flux is the linear
-    profile -Hdot*x + (q+ + q-)/2, so the interior integrals are closed
-    forms in (H, q-, q+).
-    """
-    a = grid.params.a
-    ext = 0.0
-    for xs, hs, qs in ((grid.x_left, state.h_left, state.q_left),
-                       (grid.x_right, state.h_right, state.q_right)):
-        ext += 0.5 * np.trapezoid(hs**2 + qs**2, xs)
-    hdot = state.hdot(grid)
-    mean_q = 0.5 * (state.q_plus + state.q_minus)
-    interior = 0.5 * (2.0 * a * mean_q**2 + (2.0 * a**3 / 3.0) * hdot**2
-                      + 2.0 * a * state.H**2)
-    return float(ext + interior + 0.5 * hdot**2)
-
-
 def quadratic_forms(grid: Grid):
     """Sparse symmetric forms (W, G, S) of the discrete energy identity.
 
     Built from the stencil and quadrature that :func:`assemble` uses:
 
-    - ``0.5 * z^T W z`` is the energy (see :func:`energy`);
+    - ``0.5 * z^T W z`` is the energy: the exterior trapezoid rule of
+      h^2 + q^2 plus the closed-form interior part in (H, q-, q+);
     - ``z^T G z`` is ||dq/dx||^2: the trapezoid rule of the squared stencil
       derivative on both sides plus 2a*Hdot^2 under the solid, where the
       slope is -Hdot;
@@ -553,56 +534,3 @@ def quadratic_forms(grid: Grid):
 
     sink = np.concatenate([trapezoid * grid.sponge(xs) for xs in (grid.x_left, grid.x_right)])
     return W.tocsr(), G.tocsr(), diagonal(fluxes, sink).tocsr()
-
-
-@dataclass(frozen=True)
-class PressureProfile:
-    """Quadratic pressure profile p(x) = c2 x^2 + c1 x + c0 under the solid."""
-
-    c0: float
-    c1: float
-    c2: float
-
-    def __call__(self, x):
-        return self.c2 * np.square(x) + self.c1 * np.asarray(x) + self.c0
-
-    def integral(self, a) -> float:
-        """Integral of p over [-a, a]."""
-        return 2.0 * a**3 / 3.0 * self.c2 + 2.0 * a * self.c0
-
-
-def reconstruct_pressure(state: State, state_derivative: State, u, grid):
-    """Rebuild the interior pressure from the state and its time derivative.
-
-    The flux under the solid is linear in x, so dq/dt + dp/dx = 0 makes p
-    quadratic: c2 = Hddot/2 and c1 = -(qdot+ + qdot-)/2, while c0 follows
-    from the surface-height jump condition at -a.  Returns the profile
-    and a defect report comparing it against the jump condition at +a and
-    against the vertical momentum balance of the solid.
-    """
-    p = grid.params
-    a, mu = p.a, p.mu
-    hdot = state.hdot(grid)
-    hddot = state_derivative.hdot(grid)  # same trace formula applied to qdot-+
-    qdot_minus = state_derivative.q_minus
-    qdot_plus = state_derivative.q_plus
-
-    _, (rows, cols, weights), _, _ = _nodal_operators(grid)
-
-    def slope(q, node):
-        """d/dx at one node: that node's row of the stencil."""
-        at = rows == node
-        return weights[at] @ q[cols[at]] / (2.0 * grid.spacing)
-
-    c2 = 0.5 * hddot
-    c1 = -0.5 * (qdot_plus + qdot_minus)
-    p_left = state.h_left[-1] - mu * slope(state.q_left, grid.n_side - 1) - state.H - mu * hdot
-    c0 = p_left - c2 * a * a + c1 * a
-    profile = PressureProfile(float(c0), float(c1), float(c2))
-
-    p_right_target = state.h_right[0] - mu * slope(state.q_right, 0) - state.H - mu * hdot
-    defects = {
-        "right_jump": float(abs(profile(a) - p_right_target)),
-        "newton": float(abs(hddot - (profile.integral(a) + u))),
-    }
-    return profile, defects

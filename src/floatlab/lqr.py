@@ -51,6 +51,8 @@ METHODS = ("newton_kleinman", "hamiltonian_sign")
 COMPARISON_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 #: Horizon of that comparison's march; z(T)^T P z(T) prices the rest.
 COMPARISON_HORIZON = 240.0
+#: Most Newton-Kleinman or sign-iteration steps of one Riccati solve.
+MAX_ITER = 60
 
 
 def lyapunov_solve(acl, q):
@@ -157,7 +159,7 @@ def _hamiltonian_sign(a, b, c, max_iter):
 
 
 def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, alpha0=1.0,
-               max_iter=60, keep_iterates=False) -> RiccatiSolution:
+               keep_iterates=False) -> RiccatiSolution:
     """Minimal nonnegative solution of A^T P + P A - P B B^T P + C^T C = 0.
 
     The equation is solved on the mirror-even half of ``system``
@@ -180,13 +182,13 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
     if method == "newton_kleinman":
         # the first Lyapunov solve rejects a non-stabilizing gain0 itself
         p, iterations, iterates = _newton_kleinman(
-            shifted, b, c, gain0, tol, max_iter, keep_iterates)
+            shifted, b, c, gain0, tol, MAX_ITER, keep_iterates)
     else:
         eigs = np.linalg.eigvals(shifted - np.outer(b, gain0))
         if np.any(eigs.real >= 0):
             raise UnstableClosedLoop(
                 f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
-        p, iterations = _hamiltonian_sign(shifted, b, c, max_iter)
+        p, iterations = _hamiltonian_sign(shifted, b, c, MAX_ITER)
         iterates = []
 
     def lift(x):

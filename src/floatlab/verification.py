@@ -1,13 +1,14 @@
-"""Property suites shared by the verify command and the acceptance tests.
+"""Property suites of the verify command, whose report is the acceptance record.
 
 Each suite function exercises one module's invariants on seeded random
 data and returns a plain dict (suite name, boolean verdict, numeric
 details) so the reports serialize deterministically.  Acceptance
-criteria 1-11 take their verdicts from these dicts: 1 coupling_matrix,
-2 branch_cut, 3-4 halfline_operators, 5 resolvent_consistency, 6-7
-sector, 8 discretization and boundary_matrix, 9 and 11 dynamics, 10 lqr
-(at n_side 100; verify runs it at 48).  Every bound they assert is a
-constant below, written here only.
+criteria 1-11 read their verdicts from these dicts in the report of
+``verify --seed 0``: 1 coupling_matrix, 2 branch_cut, 3-4
+halfline_operators, 5 resolvent_consistency, 6-7 sector, 8
+discretization and boundary_matrix, 9 and 11 dynamics, 10 lqr.
+:func:`run_all_suites` is the one home of each suite's seed and fault,
+and every grid and bound is a constant below, written here only.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ SQUARE_ROOT_SAMPLES = 10_000
 HALFLINE_TRIALS = 100
 #: n_side of the default grid whose generator suite_discretization checks
 DISCRETIZATION_N_SIDE = 100
+#: n_side of the default grid on which suite_lqr solves and prices the Riccati feedback
+LQR_N_SIDE = 100
 #: frequencies of the resolvent-check verb and of suite_resolvent_consistency
 RESOLVENT_LAMBDAS = (1.0, 2 + 2j, 0.5 - 3j)
 
@@ -209,7 +212,8 @@ def resolvent_defect(system, lam, inp: rv.ResolventInput) -> float:
 
     z = flat(out.H_lambda, out.h_lambda, out.q_lambda, out.q_minus, out.q_plus)
     f_vec = flat(inp.f1, inp.f2, inp.f3, inp.f4, inp.f5)
-    residual = lam * z - system.A @ z - f_vec
+    # A is real: two real products, never a complex copy of the dense A
+    residual = lam * z - (system.A @ z.real + 1j * (system.A @ z.imag)) - f_vec
     return float(np.linalg.norm(residual) / np.linalg.norm(f_vec))
 
 
@@ -217,7 +221,7 @@ def resolvent_defect(system, lam, inp: rv.ResolventInput) -> float:
 # suites
 
 
-def suite_coupling_matrix(fault=None):
+def suite_coupling_matrix(fault):
     """Closed-form coupling matrix against its closed-form inverse."""
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
@@ -232,7 +236,7 @@ def suite_coupling_matrix(fault=None):
             "max_identity_defect": worst}
 
 
-def suite_branch_cut(params, seed=0):
+def suite_branch_cut(params, seed):
     """Geometric vs sign characterization of the excluded set, plus scaling."""
     rng = np.random.default_rng(seed)
     lams = branch_cut_samples(params, BRANCH_CUT_SAMPLES, rng)
@@ -253,7 +257,7 @@ def suite_branch_cut(params, seed=0):
             "scaling_disagreements": scale_bad}
 
 
-def suite_square_root(params, seed=1):
+def suite_square_root(params, seed):
     """Principal-root properties of the Helmholtz rate omega."""
     rng = np.random.default_rng(seed)
     min_re = math.inf
@@ -286,7 +290,7 @@ def suite_square_root(params, seed=1):
             "worst_re_formula": worst_formula}
 
 
-def suite_boundary_matrix(params, seed=2):
+def suite_boundary_matrix(params, seed):
     """Symmetry, feedback shift, determinant form and singular points."""
     rng = np.random.default_rng(seed)
     worst_sym = worst_shift = worst_det = 0.0
@@ -320,7 +324,7 @@ def suite_boundary_matrix(params, seed=2):
             "worst_singular_residual": worst_sing}
 
 
-def suite_halfline(params, seed=3):
+def suite_halfline(params, seed):
     """Norm bounds, closed-form oracle and convergence order of the half-line solve.
 
     The decaying-extension bound is an equality in the continuum, so the
@@ -370,7 +374,7 @@ def suite_halfline(params, seed=3):
             "oracle_max_error": oracle_err, "manufactured_orders": orders}
 
 
-def suite_resolvent(params, seed=4):
+def suite_resolvent(params, seed):
     """Linearity and discrete consistency of the resolvent at one frequency."""
     grid = _resolvent_grid(params, 20.0, 100)
     system = dz.assemble(grid)
@@ -538,7 +542,7 @@ def suite_discretization(params):
             "energy_matrix_asymmetry": sym, "energy_matrix_min_eig": min_eig}
 
 
-def suite_dynamics(params, seed=5):
+def suite_dynamics(params, seed):
     """Stepping oracle, equilibrium invariance, dissipation, linearity.
 
     The audit and the identity march a bump at 5a of width 2a, which scales
@@ -602,7 +606,7 @@ def suite_dynamics(params, seed=5):
             "output_energy_margin": margin}
 
 
-def suite_lqr(params, n_side=48):
+def suite_lqr(params):
     """Riccati solvers: oracles, psd, residual, method agreement, feedback costs.
 
     The simulated optimal cost from the heave, bump and flow presets must
@@ -614,7 +618,7 @@ def suite_lqr(params, n_side=48):
     sign, _ = matrix_sign(np.diag([-2.0, 3.0]))
     sign_err = float(np.abs(sign - np.diag([-1.0, 1.0])).max())
 
-    grid = dz.default_grid(params, n_side=n_side)
+    grid = dz.default_grid(params, n_side=LQR_N_SIDE)
     system = dz.assemble(grid)
     nk = lqr_mod.care_solve(system, keep_iterates=True)
     hs = lqr_mod.care_solve(system, method="hamiltonian_sign")
@@ -653,7 +657,8 @@ def suite_lqr(params, n_side=48):
 
 
 def run_all_suites(params, seed, fault):
-    """Run every suite; the seed offsets each seeded suite's generator."""
+    """Run every suite: the k-th seeded suite draws from seed + k, and
+    ``fault`` (None or "m_inverse") reaches the coupling-matrix suite."""
     return [
         suite_coupling_matrix(fault=fault),
         suite_branch_cut(params, seed=seed),

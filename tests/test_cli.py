@@ -470,6 +470,21 @@ class TestNumericalFailure:
         for name in ("riccati.bin", "gains.csv", "compare.csv", "lqr.json"):
             assert not (tmp_path / "out" / name).exists()
 
+    @pytest.mark.parametrize("verb", ["spectrum", "simulate"])
+    def test_failed_allocation_exits_two(self, tmp_path, verb, capsys, monkeypatch):
+        # {"grid": {"n_side": 1000000}} asks numpy for 116 TiB; uncaught, that
+        # is a traceback and exit code 1, which means a failed verification
+        def refuse(grid):
+            raise MemoryError("Unable to allocate 116. TiB for an array with shape "
+                              "(3999999, 3999999) and data type float64")
+
+        monkeypatch.setattr(dz, "assemble", refuse)
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), verb]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Unable to allocate") and err.count("\n") == 1
+        assert not list(out.iterdir())
+
 
 class TestImportCost:
     def test_cli_import_leaves_scipy_signal_unloaded(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ def checkerboard_pair(n_side, L, sponge):
     more slowly.  The eigenvectors of a degenerate pair are not unique,
     so B is tested against the pair's whole left eigenspace.
     """
-    grid = dz.default_grid(P11, n_side=n_side, L=L)
+    grid = dz.build_grid(P11, L, n_side, dz.SPONGE_WIDTH, dz.SPONGE_STRENGTH)
     system = dz.assemble(grid if sponge else grid.without_sponge())
     ev, left = sla.eig(system.A, left=True, right=False)
     scaled = -ev.real * n_side**2
@@ -270,15 +271,38 @@ class TestInitialState:
             dz.heave_state(grid, 1.0, G0=0.5)
 
 
+# The energy evaluated from the nodal fields: an oracle of the form W of
+# quadratic_forms, written apart from it.
+
+
+def energy(state: dz.State, grid: dz.Grid) -> float:
+    """Total energy: exterior trapezoid quadrature plus exact interior part.
+
+    Under the solid the height equals H and the flux is the linear
+    profile -Hdot*x + (q+ + q-)/2, so the interior integrals are closed
+    forms in (H, q-, q+).
+    """
+    a = grid.params.a
+    ext = 0.0
+    for xs, hs, qs in ((grid.x_left, state.h_left, state.q_left),
+                       (grid.x_right, state.h_right, state.q_right)):
+        ext += 0.5 * np.trapezoid(hs**2 + qs**2, xs)
+    hdot = state.hdot(grid)
+    mean_q = 0.5 * (state.q_plus + state.q_minus)
+    interior = 0.5 * (2.0 * a * mean_q**2 + (2.0 * a**3 / 3.0) * hdot**2
+                      + 2.0 * a * state.H**2)
+    return float(ext + interior + 0.5 * hdot**2)
+
+
 class TestEnergy:
     def test_zero_state(self):
         grid = dz.default_grid(P11, n_side=16)
-        assert dz.energy(dz.rest_state(grid), grid) == 0.0
+        assert energy(dz.rest_state(grid), grid) == 0.0
 
     def test_heave_energy_is_exact(self):
         # only the interior height term contributes: (1/2) * 2a * H^2
         grid = dz.default_grid(P11, n_side=16)
-        assert dz.energy(dz.heave_state(grid, 1.0), grid) == pytest.approx(1.0)
+        assert energy(dz.heave_state(grid, 1.0), grid) == pytest.approx(1.0)
 
     def test_boundary_flux_example_converges_to_hand_value(self):
         # q- = 1, q+ = -1 gives Hdot = 1 and interior flux -x:
@@ -289,7 +313,7 @@ class TestEnergy:
             st = dz.rest_state(grid)
             st.q_left[-1] = 1.0
             st.q_right[0] = -1.0
-            values[n] = dz.energy(st, grid)
+            values[n] = energy(st, grid)
             assert values[n] == pytest.approx(5.0 / 6.0 + grid.spacing / 2.0, abs=1e-12)
         assert abs(values[400] - 5.0 / 6.0) < abs(values[100] - 5.0 / 6.0)
 
@@ -301,7 +325,7 @@ class TestEnergy:
         rng = np.random.default_rng(3)
         for _ in range(5):
             z = rng.standard_normal(grid.layout.dim)
-            direct = dz.energy(dz.State.unflatten(z, grid), grid)
+            direct = energy(dz.State.unflatten(z, grid), grid)
             assert 0.5 * z @ w @ z == pytest.approx(direct, rel=1e-12)
 
 
@@ -353,6 +377,63 @@ class TestQuadraticForms:
                 assert qdot[1:-1] == pytest.approx(inner, abs=1e-11)
 
 
+# The interior pressure rebuilt from the state: an oracle of the generator's
+# boundary-flux rows.
+
+
+@dataclass(frozen=True)
+class PressureProfile:
+    """Quadratic pressure profile p(x) = c2 x^2 + c1 x + c0 under the solid."""
+
+    c0: float
+    c1: float
+    c2: float
+
+    def __call__(self, x):
+        return self.c2 * np.square(x) + self.c1 * np.asarray(x) + self.c0
+
+    def integral(self, a) -> float:
+        """Integral of p over [-a, a]."""
+        return 2.0 * a**3 / 3.0 * self.c2 + 2.0 * a * self.c0
+
+
+def reconstruct_pressure(state: dz.State, state_derivative: dz.State, u, grid):
+    """Rebuild the interior pressure from the state and its time derivative.
+
+    The flux under the solid is linear in x, so dq/dt + dp/dx = 0 makes p
+    quadratic: c2 = Hddot/2 and c1 = -(qdot+ + qdot-)/2, while c0 follows
+    from the surface-height jump condition at -a.  Returns the profile
+    and a defect report comparing it against the jump condition at +a and
+    against the vertical momentum balance of the solid.
+    """
+    p = grid.params
+    a, mu = p.a, p.mu
+    hdot = state.hdot(grid)
+    hddot = state_derivative.hdot(grid)  # same trace formula applied to qdot-+
+    qdot_minus = state_derivative.q_minus
+    qdot_plus = state_derivative.q_plus
+
+    _, (rows, cols, weights), _, _ = dz._nodal_operators(grid)
+
+    def slope(q, node):
+        """d/dx at one node: that node's row of the stencil."""
+        at = rows == node
+        return weights[at] @ q[cols[at]] / (2.0 * grid.spacing)
+
+    c2 = 0.5 * hddot
+    c1 = -0.5 * (qdot_plus + qdot_minus)
+    p_left = state.h_left[-1] - mu * slope(state.q_left, grid.n_side - 1) - state.H - mu * hdot
+    c0 = p_left - c2 * a * a + c1 * a
+    profile = PressureProfile(float(c0), float(c1), float(c2))
+
+    p_right_target = state.h_right[0] - mu * slope(state.q_right, 0) - state.H - mu * hdot
+    defects = {
+        "right_jump": float(abs(profile(a) - p_right_target)),
+        "newton": float(abs(hddot - (profile.integral(a) + u))),
+    }
+    return profile, defects
+
+
 class TestPressureReconstruction:
     def apply_generator(self, system, state, u):
         grid = system.grid
@@ -363,7 +444,7 @@ class TestPressureReconstruction:
         grid = dz.default_grid(P11, n_side=32)
         system = dz.assemble(grid)
         st = dz.rest_state(grid)
-        profile, defects = dz.reconstruct_pressure(
+        profile, defects = reconstruct_pressure(
             st, self.apply_generator(system, st, 0.0), 0.0, grid)
         assert (profile.c0, profile.c1, profile.c2) == (0.0, 0.0, 0.0)
         assert defects["right_jump"] == 0.0 and defects["newton"] == 0.0
@@ -373,7 +454,7 @@ class TestPressureReconstruction:
         system = dz.assemble(grid)
         n = grid.n_side
         st = dz.State(1.0, np.ones(n), np.ones(n), np.zeros(n), np.zeros(n))
-        profile, defects = dz.reconstruct_pressure(
+        profile, defects = reconstruct_pressure(
             st, self.apply_generator(system, st, 0.0), 0.0, grid)
         assert abs(profile.c0) <= 1e-12 and abs(profile.c1) <= 1e-12
         assert abs(profile.c2) <= 1e-12
@@ -395,12 +476,12 @@ class TestPressureReconstruction:
             system = dz.assemble(grid)
             for st in (smooth_state(grid),
                        dz.State.unflatten(rng.standard_normal(grid.layout.dim), grid)):
-                _, d = dz.reconstruct_pressure(
+                _, d = reconstruct_pressure(
                     st, self.apply_generator(system, st, 0.3), 0.3, grid)
                 assert max(d.values()) <= 1e-12
 
     def test_profile_integral(self):
-        profile = dz.PressureProfile(c0=1.0, c1=5.0, c2=3.0)
+        profile = PressureProfile(c0=1.0, c1=5.0, c2=3.0)
         # odd term drops; 2a*c0 + (2 a^3/3) c2 with a = 2
         assert profile.integral(2.0) == pytest.approx(2 * 2 * 1.0 + 16 / 3 * 3.0)
         assert profile(2.0) == pytest.approx(3.0 * 4 + 5.0 * 2 + 1.0)

@@ -434,5 +434,5 @@ class TestDynamicsSuite:
         # the marched bump scales with a: the preset's, at 5 of width 2,
         # overlaps the solid at a = 2 and 4, and its energy rises there by
         # more than the 1e-10 E0 the monotonicity test allows
-        report = vf.suite_dynamics(PhysicalParams(a, 1.0))
+        report = vf.suite_dynamics(PhysicalParams(a, 1.0), seed=5)
         assert report["identity_passed"] and report["passed"]

@@ -101,9 +101,11 @@ class TestCareScalar:
         with pytest.raises(ValueError):
             lqr.care_solve(SCALAR, method="shooting")
 
-    def test_iteration_budget(self):
-        with pytest.raises(NoConvergence):
-            lqr.care_solve(SCALAR, max_iter=0)
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(lqr, "MAX_ITER", 0)
+        for method in lqr.METHODS:
+            with pytest.raises(NoConvergence):
+                lqr.care_solve(SCALAR, method=method)
 
 
 EPS = np.finfo(float).eps

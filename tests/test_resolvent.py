@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floatlab import discretization as dz
 from floatlab import resolvent as rv
@@ -10,6 +13,9 @@ from floatlab.errors import GridMismatch, NonDecayingOmega, SpectrumProximity
 from floatlab.spectral import PhysicalParams, boundary_system_matrix
 
 P11 = PhysicalParams(1.0, 1.0)
+#: Weights of a linear combination; a weight near the underflow threshold
+#: makes subnormal outputs, which keep too few digits for a relative test.
+WEIGHTS = st.floats(-3.0, 3.0).filter(lambda w: w == 0.0 or abs(w) >= 1e-6)
 
 
 def right_grid(h=0.01, a=1.0, L=20.0):
@@ -80,7 +86,7 @@ class TestHelmholtzParticular:
     def test_suite_oracle_at_small_radius(self):
         # at a = 0.25 the truncation [a, 20a] ends at s = 4.75, where e^-s
         # has not decayed; the suite's oracle grid reaches s = 19 instead
-        report = vf.suite_halfline(PhysicalParams(0.25, 1.0))
+        report = vf.suite_halfline(PhysicalParams(0.25, 1.0), seed=3)
         assert report["oracle_max_error"] <= vf.HALFLINE_ORACLE
         assert report["passed"]
 
@@ -244,16 +250,56 @@ class TestResolventApply:
         defect = vf.resolvent_defect(system, 2 + 2j, vf.random_resolvent_input(grid, rng))
         assert defect <= 5e-3
 
+    def test_defect_makes_no_complex_copy_of_the_generator(self):
+        # A @ z with a complex z would cast the dense real A to a complex
+        # copy, twice A's bytes
+        grid = self.grid(200)
+        system = dz.assemble(grid)
+        inp = vf.random_resolvent_input(grid, np.random.default_rng(0))
+        vf.resolvent_defect(system, 2 + 2j, inp)  # the first call imports scipy.signal
+        tracemalloc.start()
+        try:
+            vf.resolvent_defect(system, 2 + 2j, inp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < system.A.nbytes / 4
+
+    @settings(max_examples=15, deadline=None)
+    @given(re=st.floats(0.2, 4.0), im=st.floats(-4.0, 4.0), al=WEIGHTS, be=WEIGHTS,
+           seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_linearity_property(self, re, im, al, be, seeds):
+        # R(al i1 + be i2) = al R(i1) + be R(i2) in every component, to 1e-10
+        # of the largest entry of the two terms, for lam right of the spectrum
+        grid = vf._resolvent_grid(P11, 20.0, 100)
+        i1, i2 = (vf.random_resolvent_input(grid, np.random.default_rng(s)) for s in seeds)
+        pair = lambda attr: tuple(
+            rv.HalfLineFunction(x.side, x.grid, al * x.values + be * y.values)
+            for x, y in zip(getattr(i1, attr), getattr(i2, attr)))
+        combo = rv.ResolventInput(al * i1.f1 + be * i2.f1, pair("f2"),
+                                  pair("f2_prime"), pair("f3"),
+                                  al * i1.f4 + be * i2.f4, al * i1.f5 + be * i2.f5)
+        lam = complex(re, im)
+        o1, o2, o3 = (rv.resolvent_apply(lam, P11, inp) for inp in (i1, i2, combo))
+
+        def components(out):
+            return [out.H_lambda, out.q_minus, out.q_plus,
+                    *(f.values for f in out.h_lambda + out.q_lambda)]
+
+        for c1, c2, c3 in zip(components(o1), components(o2), components(o3)):
+            scale = max(np.abs(al * np.asarray(c1)).max(), np.abs(be * np.asarray(c2)).max())
+            assert np.abs(c3 - (al * c1 + be * c2)).max() <= 1e-10 * scale
+
     def test_suite_passes_at_half_radius(self):
         # the wave packets scale with a, and the grid's spacing with them
-        report = vf.suite_resolvent(PhysicalParams(0.5, 1.0))
+        report = vf.suite_resolvent(PhysicalParams(0.5, 1.0), seed=4)
         assert report["max_consistency_defect"] <= vf.RESOLVENT_DEFECT
         assert report["passed"]
 
     def test_suite_passes_at_double_radius(self):
         # at a = 2 the suite's grid keeps the a = 1 spacing (n_side 199, not
         # 100), which takes the defect from 1.0e-2 to 2.5e-3
-        report = vf.suite_resolvent(PhysicalParams(2.0, 1.0))
+        report = vf.suite_resolvent(PhysicalParams(2.0, 1.0), seed=4)
         assert report["max_consistency_defect"] <= vf.RESOLVENT_DEFECT
         assert report["passed"]
 
