@@ -31,6 +31,9 @@ from .spectral import (
 _SIDES = ("left", "right")
 #: Distance to the spectrum set below which the resolvent is refused.
 PROXIMITY_TOL = 1e-6
+#: Largest Re(omega) * (x - x0) within one block of the half-line sums:
+#: exp(300) is finite, and a grid with Re(omega) (L - a) <= 300 is one block.
+_SCAN_EXPONENT = 300
 
 
 @dataclass(frozen=True)
@@ -81,38 +84,48 @@ def _reflected(phi: HalfLineFunction) -> HalfLineFunction:
     return HalfLineFunction(side, -phi.grid[::-1], phi.values[::-1])
 
 
-def _scaled_cumulatives(omega, grid, values):
-    """Trapezoid cumulants of the two exponential kernels on a uniform right grid.
+def _running_sums(g, power, d):
+    """out[j] = d*out[j-1] + g[j], out[0] = g[0], with power = [1, d, d^2, ...].
 
-    Returns (A, B) with
-        A[j] = int_{x0}^{xj} exp(omega*(xi - xj)) * phi(xi) dxi,
-        B[j] = int_{xj}^{xN} exp(-omega*(xi - xj)) * phi(xi) dxi,
-    both with every kernel exponent <= 0.  Each is a first-order
-    recurrence with the constant factor exp(-omega*h), run as a filter.
+    Within a block of len(power) nodes out = power * cumsum(g / power); the
+    last value of a block, times d, carries into the next.
     """
-    steps = np.diff(grid)
-    # uniform up to the rounding of the abscissae themselves
-    if not np.allclose(steps, steps[0], rtol=0, atol=4 * np.finfo(float).eps * np.abs(grid).max()):
-        raise GridMismatch(f"half-line quadrature needs a uniform grid; steps span "
-                           f"[{steps.min():.6g}, {steps.max():.6g}]")
-    from scipy.signal import lfilter  # deferred: importing scipy.signal costs about 1 s
-
-    d = np.exp(-omega * steps[0])
-    half = 0.5 * steps[0]
-    g = np.empty(grid.size, dtype=complex)
-    g[0] = 0.0
-    g[1:] = half * (d * values[:-1] + values[1:])
-    fwd = lfilter([1.0], [1.0, -d], g)
-    rev_vals = values[::-1]
-    g[1:] = half * (rev_vals[1:] + d * rev_vals[:-1])
-    bwd = lfilter([1.0], [1.0, -d], g)[::-1]
-    return fwd, bwd
+    out = np.empty(g.size, dtype=complex)
+    carry = 0.0
+    for s in range(0, g.size, power.size):
+        e = min(s + power.size, g.size)
+        out[s:e] = power[:e - s] * (carry + np.cumsum(g[s:e] / power[:e - s]))
+        carry = d * out[e - 1]
+    return out
 
 
 def _solve_right(omega, grid, gamma, values):
-    """Solution and derivative of the half-line problem on a right grid."""
-    fwd, bwd = _scaled_cumulatives(omega, grid, values)
+    """Solution and derivative of the half-line problem on a uniform right grid.
+
+    Built from the trapezoid cumulants of the two exponential kernels,
+        fwd[j] = int_{x0}^{xj} exp(omega*(xi - xj)) * phi(xi) dxi,
+        bwd[j] = int_{xj}^{xN} exp(-omega*(xi - xj)) * phi(xi) dxi,
+    first-order recurrences with the factor d = exp(-omega*h), whose
+    powers d^k are decay[k].  They run in blocks over which Re(omega)
+    times the block length is at most ``_SCAN_EXPONENT``, so that every
+    power and its reciprocal is finite.
+    """
+    steps = np.diff(grid)
+    # uniform up to the rounding of the abscissae themselves
+    if not np.abs(steps - steps[0]).max() <= 4 * np.finfo(float).eps * np.abs(grid).max():
+        raise GridMismatch(f"half-line quadrature needs a uniform grid; steps span "
+                           f"[{steps.min():.6g}, {steps.max():.6g}]")
     decay = np.exp(-omega * (grid - grid[0]))
+    d = decay[1]
+    block = max(1, int(min(grid.size, _SCAN_EXPONENT / (omega.real * steps[0]))))
+    power = decay[:block]
+    half = 0.5 * steps[0]
+    g = np.zeros(grid.size, dtype=complex)
+    g[1:] = half * (d * values[:-1] + values[1:])
+    fwd = _running_sums(g, power, d)
+    rev_vals = values[::-1]
+    g[1:] = half * (rev_vals[1:] + d * rev_vals[:-1])
+    bwd = _running_sums(g, power, d)[::-1]
     q = (fwd + bwd - decay * bwd[0]) / (2.0 * omega) + gamma * decay
     dq = 0.5 * (-fwd + bwd + decay * bwd[0]) - omega * gamma * decay
     return q, dq
@@ -187,9 +200,9 @@ class ResolventInput:
         for name in ("f2_prime", "f3"):
             left, right = getattr(self, name)
             if left.grid.shape != base_l.grid.shape or \
-                    not np.allclose(left.grid, base_l.grid, rtol=0, atol=1e-12) or \
+                    not np.abs(left.grid - base_l.grid).max() <= 1e-12 or \
                     right.grid.shape != base_r.grid.shape or \
-                    not np.allclose(right.grid, base_r.grid, rtol=0, atol=1e-12):
+                    not np.abs(right.grid - base_r.grid).max() <= 1e-12:
                 raise GridMismatch(f"{name} grid differs from the f2 grid")
 
 

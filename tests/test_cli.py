@@ -487,9 +487,27 @@ class TestNumericalFailure:
 
 
 class TestImportCost:
+    # importing scipy.signal costs about 1 s and 40 MB, and nothing needs it
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # lqr and simulate never filter; only the uniform half-line path does
         probe = "import sys, floatlab.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_half_line_work_leaves_scipy_signal_unloaded(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n_side": 24}}))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "resolvent-check"]
+        probe = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from floatlab import cli, resolvent as rv",
+            f"assert cli.main({argv!r}) == 0",
+            "grid = np.linspace(1.0, 20.0, 9501)",
+            "phi = rv.HalfLineFunction('right', grid, np.exp(1.0 - grid))",
+            "rv.helmholtz_particular('right', 0.7 + 2.3j, phi)",
+            "print('scipy.signal' in sys.modules)",
+        ])
         out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
+import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -94,36 +96,48 @@ class TestHelmholtzParticular:
 class TestUniformPath:
     @staticmethod
     def per_node_cumulatives(omega, grid, values):
-        fwd = np.zeros(grid.size, dtype=complex)
-        bwd = np.zeros(grid.size, dtype=complex)
-        for j in range(1, grid.size):
-            h = grid[j] - grid[j - 1]
-            d = np.exp(-omega * h)
-            fwd[j] = d * fwd[j - 1] + 0.5 * h * (d * values[j - 1] + values[j])
-        for j in range(grid.size - 2, -1, -1):
-            h = grid[j + 1] - grid[j]
-            d = np.exp(-omega * h)
-            bwd[j] = d * bwd[j + 1] + 0.5 * h * (values[j] + d * values[j + 1])
-        return fwd, bwd
+        # one step h for every node, as the uniform-grid quadrature takes it:
+        # the rounded steps of a 12,000-node grid differ by up to 2e-12 h,
+        # which would move the sums by about as much whatever the method
+        h = grid[1] - grid[0]
+        d = cmath.exp(-omega * h)
+        v = values.tolist()
+        fwd = [0j] * len(v)
+        bwd = [0j] * len(v)
+        for j in range(1, len(v)):
+            fwd[j] = d * fwd[j - 1] + 0.5 * h * (d * v[j - 1] + v[j])
+        for j in range(len(v) - 2, -1, -1):
+            bwd[j] = d * bwd[j + 1] + 0.5 * h * (v[j] + d * v[j + 1])
+        return np.array(fwd), np.array(bwd)
 
-    @pytest.mark.parametrize("grid", [np.linspace(1.0, 20.0, 9501),
-                                      np.arange(1.0, 20.0 + 0.001, 0.002)],
-                             ids=["linspace", "arange"])
-    def test_fine_grid_takes_the_filter_path(self, grid, monkeypatch):
-        import scipy.signal
-
-        calls = []
-        real = scipy.signal.lfilter
-        monkeypatch.setattr(scipy.signal, "lfilter",
-                            lambda *args: calls.append(1) or real(*args))
+    @pytest.mark.parametrize("construct", [
+        lambda n: np.linspace(1.0, 20.0, n),
+        lambda n: np.arange(1.0, 20.0 + 9.5 / (n - 1), 19.0 / (n - 1)),
+    ], ids=["linspace", "arange"])
+    def test_scan_matches_the_per_node_recurrence(self, construct):
+        # q and dq give back the two kernel sums exactly: omega q + dq = bwd
+        # and omega q - dq = fwd - decay bwd[0] (boundary value 0); q itself
+        # divides their cancelling sum by omega, which is tiny at small
+        # Re(omega) h.  Re(omega) h = 400 exceeds _SCAN_EXPONENT, so its
+        # blocks hold one node.
+        cases = [(n, rate) for n in (2, 100, 401, 2000, 12000)
+                 for rate in (1e-4, 1e-2, 1.0, 40.0)] + [(2000, 400.0)]
         rng = np.random.default_rng(8)
-        values = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        omega = 0.7 + 2.3j
-        rv.helmholtz_particular("right", omega, rv.HalfLineFunction("right", grid, values))
-        assert calls
-        fast = rv._scaled_cumulatives(omega, grid, values)
-        for got, ref in zip(fast, self.per_node_cumulatives(omega, grid, values)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for n, rate in cases:
+            grid = construct(n)
+            assert grid.size == n
+            values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            h = grid[1] - grid[0]
+            for phase in (0.0, 0.7, 1.5):
+                omega = rate / h / math.cos(phase) * cmath.exp(1j * phase)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    q, dq = rv._solve_right(omega, grid, 0.0, values)
+                bwd = omega * q + dq
+                fwd = omega * q - dq + np.exp(-omega * (grid - grid[0])) * bwd[0]
+                for got, ref in zip((fwd, bwd), self.per_node_cumulatives(omega, grid, values)):
+                    err = np.abs(got - ref).max() / np.abs(ref).max()
+                    assert err <= 1e-12, (n, rate, phase, err)
 
     def test_nonuniform_grid_rejected(self):
         grid = np.geomspace(1.0, 20.0, 400)
@@ -256,7 +270,7 @@ class TestResolventApply:
         grid = self.grid(200)
         system = dz.assemble(grid)
         inp = vf.random_resolvent_input(grid, np.random.default_rng(0))
-        vf.resolvent_defect(system, 2 + 2j, inp)  # the first call imports scipy.signal
+        vf.resolvent_defect(system, 2 + 2j, inp)  # the first call fills the lazy caches
         tracemalloc.start()
         try:
             vf.resolvent_defect(system, 2 + 2j, inp)
