@@ -19,6 +19,7 @@ flux near the truncation boundary to emulate radiation to infinity.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -217,68 +218,52 @@ def _parity_basis(source, sign, parity) -> sps.csr_array:
                          shape=(source.size, lead.size))
 
 
+def _kernel_modes(lay):
+    """The generator's structural kernel, unnormalised: rest mode, left and right comb.
+
+    - the rest mode: H = 1 and h = 1 on every node, no flux;
+    - the left comb: h = 1 on every second node of the left side,
+      starting one step from the solid, all else 0;
+    - the right comb: the same on the right side.
+
+    The combs are the odd-even decoupling of the collocated central
+    stencil: a comb has zero central difference at every interior node
+    and zero trace at -+a.  All three are equilibria with zero flux, so
+    the output row does not see them.  The mirror swaps the combs, so
+    the rest mode and their sum are even and their difference is odd.
+    """
+    rest, left, right = np.zeros((3, lay.dim))
+    rest[lay.H] = 1.0
+    rest[lay.h_left] = rest[lay.h_right] = 1.0
+    # h_left ends at -a and h_right starts at +a: odd steps from the solid
+    left[lay.h_left][lay.n_side - 2::-2] = 1.0
+    right[lay.h_right][1::2] = 1.0
+    return rest, left, right
+
+
 @dataclass(frozen=True)
 class SemiDiscreteSystem:
     """Dense generator, input column, output row and the generator's kernel.
 
-    u = -C z feeds energy back.  The mirror x -> -x fixes B and C, and A
-    commutes with it, so the system splits into a mirror-even half, which
-    input and output see, and an odd half, which neither does.
+    u = -C z feeds energy back.  ``kernel`` is an orthonormal basis
+    (dim x k) of the generator's structural kernel, which neither input
+    nor output sees; whoever builds the system writes it down, so no
+    numerical rank test decides it.  :func:`assemble` gives the rest mode
+    and the two combs, and a system built by hand states its own, often
+    none, (dim x 0).  The mirror x -> -x fixes B and C, and A commutes
+    with it, so the system splits into a mirror-even half, which input
+    and output see, and an odd half, which neither does.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     grid: Grid | None
+    kernel: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """Orthonormal basis (dim x 3) of the generator's structural kernel.
-
-        A system built by hand without a grid has no structural kernel:
-        the basis is then empty, (dim x 0).  Otherwise the columns span
-        three modes, written from ``grid.layout``:
-
-        - the rest mode: H = 1 and h = 1 on every node, no flux;
-        - the left comb: h = 1 on every second node of the left side,
-          starting one step from the solid, all else 0;
-        - the right comb: the same on the right side.
-
-        The combs are the odd-even decoupling of the collocated central
-        stencil: a comb has zero central difference at every interior
-        node and zero trace at -+a.  All three are equilibria with zero
-        flux, so the output row does not see them.
-        """
-        if self.grid is None:
-            return np.zeros((self.dim, 0))
-        return np.linalg.qr(np.column_stack(self._kernel_modes()))[0]
-
-    @cached_property
-    def even_kernel(self) -> np.ndarray:
-        """Orthonormal basis (dim x 2) of the kernel's mirror-even part.
-
-        The rest mode and the sum of the two combs, which the mirror swaps;
-        their difference is odd.  Empty, (dim x 0), without a grid.
-        """
-        if self.grid is None:
-            return np.zeros((self.dim, 0))
-        rest, left, right = self._kernel_modes()
-        return np.linalg.qr(np.column_stack([rest, left + right]))[0]
-
-    def _kernel_modes(self):
-        """The rest mode and the left and right combs of :attr:`kernel`, unnormalised."""
-        lay, n = self.grid.layout, self.grid.n_side
-        rest, left, right = np.zeros((3, lay.dim))
-        rest[lay.H] = 1.0
-        rest[lay.h_left] = rest[lay.h_right] = 1.0
-        # h_left ends at -a and h_right starts at +a: odd steps from the solid
-        left[lay.h_left][n - 2::-2] = 1.0
-        right[lay.h_right][1::2] = 1.0
-        return rest, left, right
 
     def _parity(self, parity) -> sps.csr_array:
         if self.grid is None:  # no mirror is known: every state counts as even
@@ -305,8 +290,13 @@ class SemiDiscreteSystem:
 
         The split is checked, never assumed: the odd parts of B and C must
         be zero bit for bit, and what A carries between the halves at most
-        ``MIRROR_TOL`` max|A|; otherwise ValueError.  ``even`` has no grid.
+        ``MIRROR_TOL`` max|A|; otherwise ValueError.  ``even`` has no grid;
+        its kernel is the rest mode and the sum of the combs, in even
+        coordinates.  A system built by hand knows no mirror and is its
+        own even half.
         """
+        if self.grid is None:
+            return self, np.zeros((0, 0))
         qe, qo = self.even_basis, self.odd_basis
         if np.any(qo.T @ self.B) or np.any(self.C @ qo):
             raise ValueError("the input column or the output row is not mirror-even")
@@ -315,7 +305,10 @@ class SemiDiscreteSystem:
                    np.abs(odd_rows @ qe).max(initial=0.0))
         if leak > MIRROR_TOL * np.abs(self.A).max():
             raise ValueError(f"the generator couples the mirror halves ({leak:.3e})")
-        return SemiDiscreteSystem(even_rows @ qe, qe.T @ self.B, self.C @ qe, None), odd_rows @ qo
+        rest, left, right = _kernel_modes(self.grid.layout)
+        kernel = qe.T @ np.linalg.qr(np.column_stack([rest, left + right]))[0]
+        return (SemiDiscreteSystem(even_rows @ qe, qe.T @ self.B, self.C @ qe, None, kernel),
+                odd_rows @ qo)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of A: those of its even half, then those of its odd half."""
@@ -405,7 +398,7 @@ def assemble(grid: Grid) -> SemiDiscreteSystem:
     bm = 2.0 * a * (m @ np.array([1.0, -1.0]))
     B[lay.q_minus] = bm[0]
     B[lay.q_plus] = bm[1]
-    return SemiDiscreteSystem(A, B, C, grid)
+    return SemiDiscreteSystem(A, B, C, grid, np.linalg.qr(np.column_stack(_kernel_modes(lay)))[0])
 
 
 def initial_state(grid, H0, G0, h0, q0) -> State:
@@ -481,11 +474,16 @@ PRESETS = {
 }
 
 
-def preset_state(grid, name, **kwargs) -> State:
+def preset_state(grid, name, /, **kwargs) -> State:
+    """The preset ``name`` on ``grid``; an unknown name or key is a ValueError."""
     try:
         factory = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    keys = list(inspect.signature(factory).parameters)[1:]  # after grid
+    for key in kwargs:
+        if key not in keys:
+            raise ValueError(f"preset {name!r} has no key {key!r}; keys: {keys}")
     return factory(grid, **kwargs)
 
 

@@ -203,6 +203,14 @@ def state_vector(system, z0) -> np.ndarray:
     return z0.flatten(system.grid) if isinstance(z0, State) else np.asarray(z0, dtype=float)
 
 
+def _steps(horizon, dt) -> int:
+    """The steps of dt in ``horizon``, rounded; a horizon that rounds to none is a ValueError."""
+    n_steps = int(round(horizon / dt))
+    if n_steps == 0:
+        raise ValueError(f"the horizon {horizon} is shorter than half a step dt={dt}")
+    return n_steps
+
+
 def simulate(system, z0, T, dt, gain=None, scheme="trapezoidal") -> Trajectory:
     """March the loop u = -K z from z0 for a horizon T with step dt, keeping its states.
 
@@ -229,7 +237,7 @@ def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     stepper = Stepper(system, dt, scheme, gain)
-    n_steps = int(round(t_max / dt))
+    n_steps = _steps(t_max, dt)
     chunk_steps = max(1, int(round(chunk / dt)))
     forms = quadratic_forms(system.grid)
     # the history, or a buffer for one block and the state carried into it
@@ -278,7 +286,7 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
         raise ValueError(f"T must be positive, got {T}")
     gains = np.atleast_2d(np.asarray(gains, dtype=float))
     stepper = Stepper(system, dt, scheme, gains)
-    n_steps = int(round(T / dt))
+    n_steps = _steps(T, dt)
     m = gains.shape[0]
     z = np.repeat(state_vector(system, z0)[:, None], m, axis=1)
     running = np.empty((n_steps + 1, m))

@@ -3,8 +3,8 @@
 The semi-discrete generator has a small structural kernel (the conserved
 rest mode plus the collocated-stencil comb modes); those directions are
 invisible to both the input column and the output row.  The kernel is
-written down in closed form by the discretization
-(``SemiDiscreteSystem.kernel``), not found by a numerical rank test.
+data of the system (``SemiDiscreteSystem.kernel``), written down in
+closed form by whoever builds it, not found by a numerical rank test.
 With Z that orthonormal basis, the Riccati equation is solved on the
 shifted generator A - Z Z^T, which keeps the rest of A's spectrum and
 moves the kernel eigenvalues to -1 (Brauer's deflation), so the closed
@@ -23,9 +23,9 @@ solution vanishes on them, and with Q_e an orthonormal basis of the even
 states it is P = Q_e P_e Q_e^T, P_e solving the Riccati equation of
 (Q_e^T A Q_e, Q_e^T B, C Q_e), of dimension 2n against 4n - 1.  Of the
 three kernel modes only the rest mode and the sum of the combs are even,
-so that half deflates two.  The split is checked before each solve
-(``SemiDiscreteSystem.mirror_halves``); a system built by hand has no
-mirror and is all even.
+and the even half carries those two as its own kernel.  The split is
+checked before each solve (``SemiDiscreteSystem.mirror_halves``); a
+system built by hand has no mirror and is its own even half.
 
 Two independent solvers are provided and cross-checked: Newton-Kleinman
 (a sequence of Lyapunov equations from a stabilizing gain) and the
@@ -90,24 +90,24 @@ class RiccatiSolution:
     residual: float
     iterations: int
     method: str
-    kernel_dim: int = 0
     iterates: list = field(default_factory=list, repr=False)
 
     def predicted_cost(self, z0) -> float:
         return float(z0 @ self.P @ z0)
 
 
-def deflate_zero_modes(a, b, c, z):
-    """Move the kernel of the generator to -1, returning a - z z^T.
+def deflate_zero_modes(system: SemiDiscreteSystem):
+    """Move the kernel of the generator to -1, returning A - Z Z^T.
 
-    ``z`` is an orthonormal basis (dim x k) of ker a, written down by the
-    caller; with a z = 0 the shift maps each column of z to its negative
-    and keeps the rest of the spectrum.  The left kernel of a is then
-    (a - z z^T)^-T z, found by one dense solve.  The kernel must be
-    invisible to input and output (it is, structurally, for the
-    discretized model); anything else is reported as UnstableClosedLoop
-    since no stabilizing solution can exist then.
+    Z is ``system.kernel``, an orthonormal basis (dim x k) of ker A; with
+    A Z = 0 the shift maps each column of Z to its negative and keeps the
+    rest of the spectrum.  The left kernel of A is then (A - Z Z^T)^-T Z,
+    found by one dense solve.  The kernel must be invisible to input and
+    output (it is, structurally, for the discretized model); anything
+    else is reported as UnstableClosedLoop since no stabilizing solution
+    can exist then.
     """
+    a, b, c, z = system.A, system.B, system.C, system.kernel
     if z.shape[1] == 0:
         return a
     if np.abs(a @ z).max() > 1e-12 * np.abs(a).max():
@@ -164,19 +164,19 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
 
     The equation is solved on the mirror-even half of ``system``
     (``SemiDiscreteSystem.mirror_halves``, which checks the split), after
-    deflating the even part of the structural kernel; a system built by
-    hand without a grid is all even and has no kernel.  P = Q_e P_e Q_e^T
-    and the kept iterates are lifted back to the full state; the residual
-    is that of the full equation.  ``alpha0`` scales the initial
-    stabilizing gain alpha0 * C (the energy feedback u = -alpha0*Hdot).
-    ``method`` is one of ``METHODS``.
+    deflating that half's kernel; a system built by hand without a grid
+    is its own even half.  P = Q_e P_e Q_e^T and the kept iterates are
+    lifted back to the full state; the residual is that of the full
+    equation.  ``alpha0`` scales the initial stabilizing gain alpha0 * C
+    (the energy feedback u = -alpha0*Hdot).  ``method`` is one of
+    ``METHODS``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     even, _ = system.mirror_halves
     basis = system.even_basis
-    a, b, c = even.A, even.B, even.C
-    shifted = deflate_zero_modes(a, b, c, basis.T @ system.even_kernel)
+    b, c = even.B, even.C
+    shifted = deflate_zero_modes(even)
     gain0 = alpha0 * c
 
     if method == "newton_kleinman":
@@ -197,8 +197,7 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
 
     p = lift(p)
     return RiccatiSolution(p, system.B @ p, _full_residual(system.A, system.B, system.C, p),
-                           iterations, method, kernel_dim=system.kernel.shape[1],
-                           iterates=[lift(x) for x in iterates])
+                           iterations, method, iterates=[lift(x) for x in iterates])
 
 
 @dataclass

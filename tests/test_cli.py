@@ -435,10 +435,10 @@ def child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(tmp_path, *args):
+def run_cli(tmp_path, *args, config=None):
     """The CLI in a child process: RuntimeWarnings stay warnings there, as for a user."""
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"grid": {"n_side": 16}, "time": {"T_max": 50.0}}))
+    cfg.write_text(json.dumps(config or {"grid": {"n_side": 16}, "time": {"T_max": 50.0}}))
     return subprocess.run([sys.executable, "-m", "floatlab.cli", "--config", str(cfg),
                            "--out", str(tmp_path / "out"), *args],
                           env=child_env(), capture_output=True, text=True)
@@ -484,6 +484,47 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: Unable to allocate") and err.count("\n") == 1
         assert not list(out.iterdir())
+
+
+class TestHorizonOfNoStep:
+    # round(T / dt) == 0: the parent warned of an empty mean and failed in
+    # the audit (simulate), or priced a horizon of no step (lqr) and exited 0
+    @pytest.mark.parametrize("verb, config", [
+        ("simulate", {"grid": {"n_side": 16}, "time": {"T_max": 0.005}}),
+        ("lqr", {"grid": {"n_side": 16}, "time": {"dt": 1000}})])
+    def test_exits_two_and_writes_nothing(self, tmp_path, verb, config):
+        done = run_cli(tmp_path, verb, config=config)
+        assert done.returncode == 2
+        assert done.stderr.startswith("invalid argument: ") and done.stderr.count("\n") == 1
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_library_marches_refuse_it(self):
+        system = dz.assemble(dz.default_grid(PhysicalParams(1.0, 1.0), n_side=16))
+        z0 = dz.heave_state(system.grid)
+        with pytest.raises(ValueError, match="shorter than half a step"):
+            dyn.simulate_adaptive(system, z0, 0.02, 0.009)
+        with pytest.raises(ValueError, match="shorter than half a step"):
+            dyn.feedback_costs(system, z0, system.C, 0.009, 0.02, "trapezoidal")
+
+
+class TestOutputError:
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_out_that_is_a_file_exits_two(self, tmp_path, capsys, inside):
+        # --out naming a file, or a directory under one
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if inside else blocker
+        assert cli.main(["--out", str(out), "spectrum"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert blocker.read_text() == ""
+
+    def test_unwritable_artifact_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "resolvent.csv").mkdir(parents=True)  # the artifact's path is taken
+        assert cli.main(["--out", str(out), "resolvent-check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
 
 
 class TestImportCost:

@@ -175,11 +175,12 @@ class TestMirror:
                 <= 1e-12 * np.abs(full).max()
 
     def test_system_without_a_grid_is_all_even(self):
-        system = dz.SemiDiscreteSystem(np.diag([-1.0, -2.0]), np.ones(2), np.ones(2), None)
+        system = dz.SemiDiscreteSystem(np.diag([-1.0, -2.0]), np.ones(2), np.ones(2), None,
+                                       np.zeros((2, 0)))
         assert np.array_equal(system.even_basis.toarray(), np.eye(2))
         assert system.odd_basis.shape == (2, 0)
-        assert system.even_kernel.shape == (2, 0)
         even, a_odd = system.mirror_halves
+        assert even.kernel.shape == (2, 0)
         assert np.array_equal(even.A, system.A) and a_odd.shape == (0, 0)
 
     @pytest.mark.parametrize("side", ["A", "B"])
@@ -193,7 +194,7 @@ class TestMirror:
         else:
             b[lay.q_plus] *= 1.0 + 1e-15
         with pytest.raises(ValueError):
-            dz.SemiDiscreteSystem(a, b, system.C, grid).mirror_halves
+            dz.SemiDiscreteSystem(a, b, system.C, grid, system.kernel).mirror_halves
 
 
 def checkerboard_pair(n_side, L, sponge):
@@ -264,6 +265,12 @@ class TestInitialState:
         grid = dz.default_grid(P11, n_side=16)
         with pytest.raises(ValueError):
             dz.preset_state(grid, "vortex")
+
+    @pytest.mark.parametrize("key", ["radius", "grid", "name"])
+    def test_unknown_key_names_the_keys(self, key):
+        grid = dz.default_grid(P11, n_side=16)
+        with pytest.raises(ValueError, match=r"has no key .*'center', 'width', 'amplitude'"):
+            dz.preset_state(grid, "bump", **{key: 1.0})
 
     def test_heave_with_nonzero_velocity_rejected(self):
         grid = dz.default_grid(P11, n_side=16)

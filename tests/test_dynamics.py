@@ -19,7 +19,8 @@ def small_system(n=48):
 
 
 def scalar_system(rate=-1.0):
-    return dz.SemiDiscreteSystem(np.array([[rate]]), np.zeros(1), np.zeros(1), None)
+    return dz.SemiDiscreteSystem(np.array([[rate]]), np.zeros(1), np.zeros(1), None,
+                                 np.zeros((1, 0)))
 
 
 class TestStep:

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floatlab import discretization as dz
 from floatlab import dynamics as dyn
@@ -68,10 +70,12 @@ class TestLyapunovSolve:
             lqr.lyapunov_solve(np.diag([-1.0, -1e-20]), np.eye(2))
 
 
-def by_hand(a, b, c):
-    """A system without a grid, so without a structural kernel."""
-    return dz.SemiDiscreteSystem(np.atleast_2d(a), np.asarray(b, dtype=float),
-                                 np.asarray(c, dtype=float), grid=None)
+def by_hand(a, b, c, kernel=None):
+    """A system without a grid; its kernel basis is ``kernel``, by default none."""
+    a = np.atleast_2d(a)
+    kernel = np.zeros((a.shape[0], 0)) if kernel is None else kernel
+    return dz.SemiDiscreteSystem(a, np.asarray(b, dtype=float),
+                                 np.asarray(c, dtype=float), None, kernel)
 
 
 SCALAR = by_hand(-1.0, [1.0], [1.0])
@@ -82,13 +86,12 @@ class TestCareScalar:
         sol = lqr.care_solve(SCALAR)
         assert abs(sol.P[0, 0] - (math.sqrt(2.0) - 1.0)) <= 1e-12
         assert sol.gain[0] == pytest.approx(sol.P[0, 0])
-        assert sol.kernel_dim == 0
         assert SCALAR.kernel.shape == (1, 0)
 
     def test_hamiltonian_sign_hand_value(self):
         sol = lqr.care_solve(SCALAR, method="hamiltonian_sign")
         assert abs(sol.P[0, 0] - (math.sqrt(2.0) - 1.0)) <= 1e-12
-        assert sol.kernel_dim == 0
+        assert SCALAR.kernel.shape == (1, 0)
 
     def test_zero_output_gives_zero_cost(self):
         rng = np.random.default_rng(1)
@@ -116,26 +119,23 @@ MUS = (0.5, 1.0, 2.0)
 
 class TestDeflation:
     def test_no_kernel_is_identity(self):
-        a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-        assert lqr.deflate_zero_modes(a, np.ones(2), np.ones(2), np.zeros((2, 0))) is a
+        system = by_hand([[-1.0, 0.3], [0.0, -2.0]], np.ones(2), np.ones(2))
+        assert lqr.deflate_zero_modes(system) is system.A
 
     def test_kernel_coupled_to_input_rejected(self):
         a = np.diag([0.0, -1.0])
         with pytest.raises(UnstableClosedLoop):
-            lqr.deflate_zero_modes(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                                   np.eye(2)[:, :1])
+            lqr.deflate_zero_modes(by_hand(a, [1.0, 0.0], [0.0, 1.0], np.eye(2)[:, :1]))
 
     def test_kernel_coupled_to_output_rejected(self):
         a = np.diag([0.0, -1.0])
         with pytest.raises(UnstableClosedLoop):
-            lqr.deflate_zero_modes(a, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                                   np.eye(2)[:, :1])
+            lqr.deflate_zero_modes(by_hand(a, [0.0, 1.0], [1.0, 0.0], np.eye(2)[:, :1]))
 
     def test_basis_outside_the_kernel_rejected(self):
         a = np.diag([0.0, -1.0])
         with pytest.raises(ValueError):
-            lqr.deflate_zero_modes(a, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                                   np.eye(2)[:, 1:])
+            lqr.deflate_zero_modes(by_hand(a, [0.0, 1.0], [0.0, 1.0], np.eye(2)[:, 1:]))
 
     @pytest.mark.parametrize("method", lqr.METHODS)
     def test_defective_kernel_rejected(self, method):
@@ -171,9 +171,34 @@ class TestDeflation:
             # reference: the numerical rank test the closed form replaces
             s = sla.svdvals(system.A)
             assert np.sum(s <= 1e-10 * s[0]) == 3
-            shifted = lqr.deflate_zero_modes(system.A, system.B, system.C, z)
+            shifted = lqr.deflate_zero_modes(system)
             assert np.abs(shifted @ z + z).max() <= 1e-13
             assert np.linalg.eigvals(shifted).real.max() < 0
+
+
+class TestKernelIsSystemData:
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.floats(0.25, 4.0), mu=st.floats(0.25, 4.0), n_side=st.integers(8, 40),
+           sponge=st.booleans())
+    def test_both_halves_carry_their_kernel(self, a, mu, n_side, sponge):
+        grid = dz.default_grid(PhysicalParams(a, mu), n_side=n_side)
+        system = dz.assemble(grid if sponge else grid.without_sponge())
+        even, _ = system.mirror_halves
+        # the rest mode and both combs; on the even half the rest mode and
+        # the sum of the combs, in even coordinates
+        for half, shape in ((system, (system.dim, 3)), (even, (2 * n_side, 2))):
+            z = half.kernel
+            assert z.shape == shape
+            assert np.abs(z.T @ z - np.eye(shape[1])).max() <= 1e-13
+            assert np.abs(half.A @ z).max() <= 4 * EPS * np.abs(half.A).max()
+            assert np.all(half.C @ z == 0.0)
+        # so the even half is a complete system: its own Riccati solution is
+        # the full one restricted to the even states
+        qe = system.even_basis
+        for method in lqr.METHODS:
+            want = qe.T @ lqr.care_solve(system, method=method).P @ qe
+            got = lqr.care_solve(even, method=method).P
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # n_side alternates 24/25 with the parity of the other three levels, so every
@@ -191,7 +216,7 @@ class TestParameterSweep:
         nk = lqr.care_solve(system)
         hs = lqr.care_solve(system, method="hamiltonian_sign")
         p_norm = np.linalg.norm(nk.P, "fro")
-        assert nk.kernel_dim == 3
+        assert system.kernel.shape[1] == 3
         assert nk.iterations <= 6
         assert nk.residual <= 1e-8 * (1.0 + p_norm ** 2)
         assert np.linalg.norm(nk.P - hs.P, "fro") / p_norm <= vf.METHOD_GAP
@@ -219,7 +244,7 @@ class TestParameterSweep:
 
         # the kernel splits 2 + 1: the rest mode and the sum of the combs
         # are even, their difference odd
-        z, z_even = system.kernel, system.even_kernel
+        z, z_even = system.kernel, even @ system.mirror_halves[0].kernel
         assert z_even.shape == (dim, 2)
         assert np.abs(z_even.T @ z_even - np.eye(2)).max() <= 1e-14
         assert np.abs(z_even - z @ (z.T @ z_even)).max() <= 1e-14
@@ -229,7 +254,7 @@ class TestParameterSweep:
 
 def full_newton_kleinman(system):
     """Newton-Kleinman on the whole state, from the energy feedback u = -Hdot."""
-    shifted = lqr.deflate_zero_modes(system.A, system.B, system.C, system.kernel)
+    shifted = lqr.deflate_zero_modes(system)
     gain = system.C
     for _ in range(30):
         p = lqr.lyapunov_solve(shifted - np.outer(system.B, gain),
@@ -254,7 +279,7 @@ class TestMirrorHalf:
         assert np.all(odd.T @ solution.P == 0.0)
         assert np.array_equal(solution.P, solution.P.T)
         assert solution.P.shape == (system.dim, system.dim)
-        assert solution.kernel_dim == 3
+        assert system.kernel.shape[1] == 3
 
     def test_iterates_are_lifted(self):
         system = small_system(24)
@@ -270,7 +295,8 @@ class TestMirrorHalf:
         a[lay.h_left.start + 2, lay.q_left.start + 2] *= 1.0 + 1e-6
         for method in lqr.METHODS:
             with pytest.raises(ValueError):
-                lqr.care_solve(dz.SemiDiscreteSystem(a, system.B, system.C, system.grid),
+                lqr.care_solve(dz.SemiDiscreteSystem(a, system.B, system.C, system.grid,
+                                                     system.kernel),
                                method=method)
 
     @pytest.mark.parametrize("method", lqr.METHODS)
@@ -334,7 +360,7 @@ class TestCareFullSystem:
         system = small_system()
         ev = np.linalg.eigvals(system.A - np.outer(system.B, solution.gain))
         n_zero = int(np.sum(np.abs(ev) <= 1e-8))
-        assert n_zero == solution.kernel_dim == 3
+        assert n_zero == system.kernel.shape[1] == 3
         rest = ev[np.abs(ev) > 1e-8]
         assert rest.real.max() < 0
 
@@ -400,7 +426,7 @@ class TestCompareFeedbacks:
         # the Loewner order X_alpha >= P that makes the energy rows lower bounds
         system = small_system(24)
         solution = lqr.care_solve(system)
-        shifted = lqr.deflate_zero_modes(system.A, system.B, system.C, system.kernel)
+        shifted = lqr.deflate_zero_modes(system)
         x = lqr.lyapunov_solve(shifted - alpha * np.outer(system.B, system.C),
                                (1.0 + alpha ** 2) * np.outer(system.C, system.C))
         assert np.linalg.eigvalsh(x - solution.P).min() >= -1e-12 * np.linalg.norm(x, 2)
