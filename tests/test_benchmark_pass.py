@@ -9,6 +9,7 @@ benchmark uses fails here and not only when the benchmark runs.
 """
 
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def workloads():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
+        mp.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
         yield importlib.import_module("workloads").WORKLOADS
 
 

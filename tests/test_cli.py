@@ -487,8 +487,8 @@ class TestNumericalFailure:
 
 
 class TestHorizonOfNoStep:
-    # round(T / dt) == 0: the parent warned of an empty mean and failed in
-    # the audit (simulate), or priced a horizon of no step (lqr) and exited 0
+    # round(T / dt) == 0 marches no step: simulate used to warn of an empty
+    # mean and fail in the audit, and lqr to price no step and exit 0
     @pytest.mark.parametrize("verb, config", [
         ("simulate", {"grid": {"n_side": 16}, "time": {"T_max": 0.005}}),
         ("lqr", {"grid": {"n_side": 16}, "time": {"dt": 1000}})])
