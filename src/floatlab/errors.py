@@ -55,3 +55,7 @@ class NoConvergence(FloatLabError):
 
 class ImaginaryAxisEigenvalue(FloatLabError):
     """Matrix sign iteration is undefined for eigenvalues on the imaginary axis."""
+
+
+class JumpMismatch(FloatLabError):
+    """A segment start reached by the jump map disagrees with the march it stands for."""

@@ -462,6 +462,21 @@ class TestNumericalFailure:
         assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
         assert not list((tmp_path / "out").iterdir())
 
+    def test_jump_mismatch_exits_two_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # a jump map that misses the march it stands for by 1e-6
+        free_power = dyn.Stepper._free_power
+        monkeypatch.setattr(dyn.Stepper, "_free_power",
+                            lambda self, basis: (1.0 + 1e-6) * free_power(self, basis))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n_side": 16}, "time": {"T_max": 50.0}}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the jump to step 64 misses the march")
+        assert err.count("\n") == 1
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "energy_balance.json").exists()
+
     def test_failed_lqr_writes_no_artifact(self, tmp_path):
         # the cost march overflows after the Riccati solve has succeeded
         done = run_cli(tmp_path, "lqr", "--z0", "heave:H0=1e300")

@@ -8,7 +8,7 @@ from floatlab import discretization as dz
 from floatlab import dynamics as dyn
 from floatlab import lqr
 from floatlab import verification as vf
-from floatlab.errors import SingularSystem
+from floatlab.errors import JumpMismatch, SingularSystem
 from floatlab.spectral import PhysicalParams
 
 P11 = PhysicalParams(1.0, 1.0)
@@ -131,6 +131,76 @@ class TestStepperAgainstDense:
         dt = 0.1
         with pytest.raises(SingularSystem):
             dyn.Stepper(scalar_system(rate=2.0 / dt), dt)
+
+
+def dense_samples(system, states):
+    """The seven sampled columns of a state history, with the forms made dense."""
+    lay = system.grid.layout
+    W, G, S = (form.toarray() for form in dz.quadratic_forms(system.grid))
+    return [states[:, lay.H], states @ system.C, states[:, lay.q_minus], states[:, lay.q_plus],
+            0.5 * np.einsum("ti,ij,tj->t", states, W, states),
+            np.einsum("ti,ij,tj->t", states, G, states),
+            np.einsum("ti,ij,tj->t", states, S, states)]
+
+
+class TestSegmentedMarchAgainstDense:
+    """The segmented march: every sampled column and input against dense_reference, to 1e-12."""
+
+    #: steps, steps a chunk (None: one chunk), _JUMP_PAYOFF, _COLUMNS (None:
+    #: the module's); a payoff of 0 cuts every horizon into segments, and
+    #: an infinite one marches every horizon as one segment
+    CASES = {
+        "horizon not a multiple of the segment": (2 * dyn._BLOCK + 37, None, 0.0, None),
+        "chunk not a multiple of the segment": (3 * dyn._BLOCK, 50, 0.0, None),
+        "horizon shorter than a segment": (40, None, 0.0, None),
+        "one segment by the rule": (2 * dyn._BLOCK + 37, 50, math.inf, None),
+        "rounds of two segments": (5 * dyn._BLOCK + 37, 100, 0.0, 2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("scheme,theta", TestStepperAgainstDense.SCHEMES)
+    def test_every_sample_and_input(self, monkeypatch, scheme, theta, closed, case):
+        steps, chunk, payoff, columns = self.CASES[case]
+        monkeypatch.setattr(dyn, "_JUMP_PAYOFF", payoff)
+        if columns is not None:
+            monkeypatch.setattr(dyn, "_COLUMNS", columns)
+        built = []
+        init = dyn._SegmentJump.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(dyn._SegmentJump, "__init__", spy)
+        system = small_system(24)
+        # a gain that is not mirror-even, so both halves of the jump carry input
+        rng = np.random.default_rng(8)
+        gain = 0.5 * system.C + 0.05 * rng.standard_normal(system.dim) if closed else None
+        z0 = dz.bump_state(system.grid).flatten(system.grid)
+        dt = 0.05
+        traj = dyn.simulate_adaptive(system, z0, dt, steps * dt, gain=gain, scheme=scheme,
+                                     chunk=(chunk or steps) * dt)
+        # the jump map is built exactly when the horizon has several segments
+        assert len(built) == (payoff == 0.0 and steps > dyn._BLOCK)
+        assert np.array_equal(traj.times, dt * np.arange(steps + 1))
+        reference = dense_reference(system, z0, dt, steps, theta, gain=gain)
+        u_ref = np.zeros(steps + 1) if gain is None else -reference @ gain
+        wanted = [*dense_samples(system, reference), u_ref]
+        for got, want in zip([*traj.samples, traj.inputs], wanted):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestJumpCheck:
+    @pytest.mark.parametrize("corrupt", [lambda f: (1.0 + 1e-6) * f, lambda f: f * math.nan],
+                             ids=["scaled", "nan"])
+    def test_corrupted_jump_map_raises(self, monkeypatch, corrupt):
+        free_power = dyn.Stepper._free_power
+        monkeypatch.setattr(dyn.Stepper, "_free_power",
+                            lambda self, basis: corrupt(free_power(self, basis)))
+        system = small_system(24)
+        with pytest.raises(JumpMismatch, match="the jump to step 64 misses the march"):
+            dyn.simulate_adaptive(system, dz.bump_state(system.grid), 0.05, 20.0)
 
 
 def assert_same_samples(got, want):
