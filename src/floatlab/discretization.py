@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sps
 
 from .errors import CompatibilityViolation, InvalidGeometry
 from .spectral import PhysicalParams, coupling_matrix
@@ -207,6 +206,8 @@ def _parity_basis(source, sign, parity) -> sps.csr_array:
     with the wanted sign gives the column e_i; a swapped pair i < j gives
     (e_i + parity*sign[i] e_j)/sqrt(2).  Columns follow their first slot.
     """
+    import scipy.sparse as sps  # not at module level: see the package docstring
+
     at = np.arange(source.size)
     lead = at[(at < source) | ((at == source) & (sign == parity))]
     partner = source[lead]
@@ -501,6 +502,8 @@ def quadratic_forms(grid: Grid):
 
     Along a trajectory dE/dt = -mu * z^T G z + u * C z - z^T S z.
     """
+    import scipy.sparse as sps
+
     a = grid.params.a
     lay = grid.layout
     sides, (rows, cols, weights), trapezoid, C = _nodal_operators(grid)

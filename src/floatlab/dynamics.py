@@ -51,8 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
 from .discretization import SemiDiscreteSystem, State, quadratic_forms
 from .errors import JumpMismatch, SingularSystem
@@ -103,6 +101,9 @@ class Stepper:
     """
 
     def __init__(self, system: SemiDiscreteSystem, dt, scheme="trapezoidal", gain=None):
+        import scipy.sparse as sps  # not at module level: see the package docstring
+        from scipy.sparse.linalg import splu
+
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if scheme not in SCHEMES:
@@ -208,6 +209,8 @@ class Stepper:
         the start states z to F z + R v, v being the weighted inputs that
         ``reads`` gives.
         """
+        import scipy.sparse as sps
+
         dim = self._dt_w.size
         free = self._free_power(sps.identity(dim, format="csr"))
         m = self.gain.shape[0]
@@ -278,6 +281,8 @@ class _SegmentJump:
     """
 
     def __init__(self, stepper, system, z0):
+        import scipy.sparse as sps
+
         halves = (system.even_basis, system.odd_basis)
         self._basis = sps.hstack(halves, format="csr")
         self._even = halves[0].shape[1]

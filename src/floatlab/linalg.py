@@ -14,7 +14,6 @@ precision and deterministic for a fixed input on a fixed build.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import ImaginaryAxisEigenvalue, NoConvergence
 
@@ -37,6 +36,8 @@ def matrix_sign(h, max_iter=100):
     or a stalled iteration and raises ImaginaryAxisEigenvalue /
     NoConvergence.  A non-finite h raises ValueError.
     """
+    from scipy.linalg import lapack  # not at module level: see the package docstring
+
     z = np.asarray(h, dtype=float).copy()
     n = z.shape[0]
     if z.shape != (n, n):
@@ -78,11 +79,18 @@ def save_matrix(path, a):
 
 
 def load_matrix(path):
-    """Read a dense real matrix written by :func:`save_matrix`."""
+    """Read a dense real matrix written by :func:`save_matrix`.
+
+    The payload must be exactly the 8 * rows * cols bytes the header
+    promises; a short or a long file is a ValueError.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
         if len(header) != _HEADER_BYTES or header[:4] != MATRIX_MAGIC:
             raise ValueError(f"{path} is not a floatlab matrix file")
-        rows, cols = np.frombuffer(header[4:12], dtype="<u4")
-        data = np.frombuffer(fh.read(int(rows) * int(cols) * 8), dtype="<f8")
-    return data.reshape(int(rows), int(cols)).copy()
+        rows, cols = (int(k) for k in np.frombuffer(header[4:12], dtype="<u4"))
+        payload = fh.read()
+    if len(payload) != 8 * rows * cols:
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
+                         f"header promises {8 * rows * cols}")
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

@@ -38,8 +38,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dtrsyl
 
 from .discretization import SemiDiscreteSystem
 from .dynamics import feedback_costs, state_vector
@@ -62,6 +60,9 @@ def lyapunov_solve(acl, q):
     real Schur form T = U^T acl U and the transformed Sylvester equation
     T^T Y + Y T = -U^T q U is solved by LAPACK's trsyl.
     """
+    import scipy.linalg as sla  # not at module level: see the package docstring
+    from scipy.linalg.lapack import dtrsyl
+
     acl = np.asarray(acl, dtype=float)
     q = np.asarray(q, dtype=float)
     t, u = sla.schur(acl, output="real")
@@ -144,6 +145,8 @@ def _newton_kleinman(a, b, c, gain, tol, max_iter, keep_iterates):
 
 
 def _hamiltonian_sign(a, b, c, max_iter):
+    import scipy.linalg as sla
+
     m = a.shape[0]
     ham = np.block([
         [a, -np.outer(b, b)],

@@ -543,27 +543,41 @@ class TestOutputError:
 
 
 class TestImportCost:
-    # importing scipy.signal costs about 1 s and 40 MB, and nothing needs it
-    def test_cli_import_leaves_scipy_signal_unloaded(self):
-        probe = "import sys, floatlab.cli; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+    # importing scipy.sparse, scipy.linalg and scipy.sparse.linalg costs about
+    # 0.4 s and 32 MB (0.3 s and 22 MB for scipy.sparse alone); a verb loads
+    # scipy only where it calls it, so a top-level scipy import fails here
+    @staticmethod
+    def loaded_after(steps, names):
+        """For each step of a fresh interpreter, which of ``names`` are in sys.modules after it."""
+        probe = ["import json, sys", "seen = []"]
+        for step in steps:
+            probe += [step, f"seen.append([n for n in {names!r} if n in sys.modules])"]
+        probe.append("print(json.dumps(seen))")
+        out = subprocess.run([sys.executable, "-c", "\n".join(probe)], env=child_env(),
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return json.loads(out.stdout.splitlines()[-1])
 
-    def test_half_line_work_leaves_scipy_signal_unloaded(self, tmp_path):
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self.loaded_after(["import floatlab.cli"], ["scipy"]) == [[]]
+
+    def test_build_and_half_line_work_leave_scipy_unloaded(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"grid": {"n_side": 24}}))
         argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "resolvent-check"]
-        probe = "\n".join([
-            "import sys",
-            "import numpy as np",
-            "from floatlab import cli, resolvent as rv",
+        steps = [
+            "import numpy as np\nfrom floatlab import cli, discretization as dz, resolvent as rv",
+            "_, grid, _ = cli._build(cli.load_config())\ndz.preset_state(grid, 'heave')",
             f"assert cli.main({argv!r}) == 0",
-            "grid = np.linspace(1.0, 20.0, 9501)",
-            "phi = rv.HalfLineFunction('right', grid, np.exp(1.0 - grid))",
-            "rv.helmholtz_particular('right', 0.7 + 2.3j, phi)",
-            "print('scipy.signal' in sys.modules)",
-        ])
-        out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+            "\n".join(["grid = np.linspace(1.0, 20.0, 9501)",
+                       "phi = rv.HalfLineFunction('right', grid, np.exp(1.0 - grid))",
+                       "rv.helmholtz_particular('right', 0.7 + 2.3j, phi)"]),
+        ]
+        assert self.loaded_after(steps, ["scipy"]) == [[]] * len(steps)
+
+    def test_spectrum_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # the mirror bases are scipy.sparse arrays; nothing in spectrum factors or solves
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n_side": 24}}))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "spectrum"]
+        steps = ["from floatlab import cli", f"assert cli.main({argv!r}) == 0"]
+        assert self.loaded_after(steps, ["scipy.linalg", "scipy.sparse.linalg"]) == [[], []]

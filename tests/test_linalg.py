@@ -75,3 +75,14 @@ class TestBinaryFormat:
         path.write_bytes(b"not a matrix into the void")
         with pytest.raises(ValueError):
             la.load_matrix(path)
+
+    @pytest.mark.parametrize("change, payload", [(lambda raw: raw[:-8], 40),
+                                                 (lambda raw: raw + b"\0" * 8, 56)],
+                             ids=["short", "long"])
+    def test_rejects_payload_of_wrong_length(self, tmp_path, change, payload):
+        # a 2 x 3 matrix has 48 payload bytes; 8 missing or 8 extra must not load
+        path = tmp_path / "m.bin"
+        la.save_matrix(path, np.ones((2, 3)))
+        path.write_bytes(change(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"payload is {payload} bytes, header promises 48"):
+            la.load_matrix(path)
