@@ -81,13 +81,15 @@ def _check_types(cfg, defaults, where=""):
 
 
 def validate_config(cfg):
-    """Types, keys, seed, times and names; PhysicalParams and build_grid check the geometry."""
+    """Types, keys, seed, times, lqr.tol, names; PhysicalParams and build_grid check geometry."""
     _check_types(cfg, DEFAULT_CONFIG)
     if cfg["seed"] < 0:
         raise ValueError("seed must be non-negative")
     t = cfg["time"]
     if t["dt"] <= 0 or t["T_max"] <= 0:
         raise ValueError("time.dt and time.T_max must be positive")
+    if cfg["lqr"]["tol"] <= 0:
+        raise ValueError("lqr.tol must be positive")
     if t["scheme"] not in dyn.SCHEMES:
         raise ValueError(f"time.scheme must be one of {', '.join(dyn.SCHEMES)}")
     if cfg["lqr"]["method"] not in lqr_mod.METHODS:

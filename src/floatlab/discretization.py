@@ -137,6 +137,8 @@ def build_grid(params, L, n_side, sponge_width=0.0, sponge_strength=0.0) -> Grid
     if not 0 <= sponge_width < L - params.a:
         raise InvalidGeometry(
             f"sponge_width={sponge_width} must lie in [0, L-a)={L - params.a}")
+    if not sponge_strength >= 0:  # a negative strength makes the sponge a source
+        raise InvalidGeometry(f"sponge_strength={sponge_strength} must be non-negative")
     return Grid(params, float(L), int(n_side), float(sponge_width), float(sponge_strength))
 
 
@@ -199,24 +201,34 @@ class State:
                    q_left, q_right)
 
 
-def _parity_basis(source, sign, parity) -> sps.csr_array:
-    """Orthonormal basis (dim x k, sparse) of the states z with R z = parity * z.
+class ParityBasis:
+    """Orthonormal basis Q (dim x k) of the states z with R z = parity * z, as slot arrays.
 
-    R is the signed permutation ``(source, sign)``.  A slot that R fixes
-    with the wanted sign gives the column e_i; a swapped pair i < j gives
-    (e_i + parity*sign[i] e_j)/sqrt(2).  Columns follow their first slot.
+    R is the signed permutation ``(source, sign)``.  A slot that R fixes with the wanted
+    sign gives the column e_i; a swapped pair i < j gives (e_i + parity*sign[i] e_j)/sqrt(2).
+    Columns follow their first slot.  Column c is ``weights[:, c]`` at slots ``lead[c]`` and
+    ``partner[c]``; a lone slot pairs with itself at weight 0, so Q^T x adds two products.
     """
-    import scipy.sparse as sps  # not at module level: see the package docstring
 
-    at = np.arange(source.size)
-    lead = at[(at < source) | ((at == source) & (sign == parity))]
-    partner = source[lead]
-    paired = partner != lead
-    cols = np.arange(lead.size)
-    half = np.sqrt(0.5)
-    values = np.r_[np.where(paired, half, 1.0), parity * sign[lead[paired]] * half]
-    return sps.csr_array((values, (np.r_[lead, partner[paired]], np.r_[cols, cols[paired]])),
-                         shape=(source.size, lead.size))
+    def __init__(self, source, sign, parity):
+        at = np.arange(source.size)
+        self.lead = at[(at < source) | ((at == source) & (sign == parity))]
+        self.partner = source[self.lead]
+        paired = self.partner != self.lead
+        half = np.where(paired, np.sqrt(0.5), 0.0)
+        self.weights = np.array([np.where(paired, half, 1.0), parity * sign[self.lead] * half])
+        self.shape = (source.size, self.lead.size)
+
+    def restrict(self, x) -> np.ndarray:
+        """Q^T x along the first axis of a (dim,) or (dim, m) ``x``; X Q is restrict(X.T).T."""
+        return (self.weights[0] * x[self.lead].T + self.weights[1] * x[self.partner].T).T
+
+    def lift(self, y) -> np.ndarray:
+        """Q y along the first axis of a (k,) or (k, m) ``y``; a slot of no column gets +0.0."""
+        z = np.zeros(self.shape[:1] + np.shape(y)[1:])
+        z[self.lead] += (self.weights[0] * y.T).T
+        z[self.partner] += (self.weights[1] * y.T).T
+        return z
 
 
 def _kernel_modes(lay):
@@ -266,24 +278,16 @@ class SemiDiscreteSystem:
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def _parity(self, parity) -> sps.csr_array:
-        if self.grid is None:  # no mirror is known: every state counts as even
-            return _parity_basis(np.arange(self.dim), np.ones(self.dim), parity)
-        return _parity_basis(*self.grid.layout.mirror, parity)
-
     @cached_property
-    def even_basis(self) -> sps.csr_array:
-        """Orthonormal basis Q_e (dim x 2n, sparse) of the mirror-even states.
+    def mirror_bases(self) -> tuple[ParityBasis, ParityBasis]:
+        """``(Q_e, Q_o)``: bases of the mirror-even (dim x 2n) and odd (dim x 2n-1) states.
 
-        One column is e_H; each other pairs a slot with its mirror image.
-        A system built by hand without a grid gets the identity.
+        One column of Q_e is e_H, each other pairs a slot with its mirror image.
+        A system built by hand knows no mirror: Q_e = I and Q_o has no column.
         """
-        return self._parity(1.0)
-
-    @cached_property
-    def odd_basis(self) -> sps.csr_array:
-        """Orthonormal basis Q_o (dim x 2n-1, sparse) of the odd states; none without a grid."""
-        return self._parity(-1.0)
+        mirror = (np.arange(self.dim), np.ones(self.dim)) if self.grid is None \
+            else self.grid.layout.mirror
+        return ParityBasis(*mirror, 1.0), ParityBasis(*mirror, -1.0)
 
     @cached_property
     def mirror_halves(self) -> tuple["SemiDiscreteSystem", np.ndarray]:
@@ -298,18 +302,19 @@ class SemiDiscreteSystem:
         """
         if self.grid is None:
             return self, np.zeros((0, 0))
-        qe, qo = self.even_basis, self.odd_basis
-        if np.any(qo.T @ self.B) or np.any(self.C @ qo):
+        qe, qo = self.mirror_bases
+        if np.any(qo.restrict(self.B)) or np.any(qo.restrict(self.C)):
             raise ValueError("the input column or the output row is not mirror-even")
-        even_rows, odd_rows = qe.T @ self.A, qo.T @ self.A
-        leak = max(np.abs(even_rows @ qo).max(initial=0.0),
-                   np.abs(odd_rows @ qe).max(initial=0.0))
+        even_rows, odd_rows = qe.restrict(self.A), qo.restrict(self.A)
+        leak = max(np.abs(qo.restrict(even_rows.T)).max(initial=0.0),
+                   np.abs(qe.restrict(odd_rows.T)).max(initial=0.0))
         if leak > MIRROR_TOL * np.abs(self.A).max():
             raise ValueError(f"the generator couples the mirror halves ({leak:.3e})")
         rest, left, right = _kernel_modes(self.grid.layout)
-        kernel = qe.T @ np.linalg.qr(np.column_stack([rest, left + right]))[0]
-        return (SemiDiscreteSystem(even_rows @ qe, qe.T @ self.B, self.C @ qe, None, kernel),
-                odd_rows @ qo)
+        kernel = qe.restrict(np.linalg.qr(np.column_stack([rest, left + right]))[0])
+        return (SemiDiscreteSystem(qe.restrict(even_rows.T).T, qe.restrict(self.B),
+                                   qe.restrict(self.C), None, kernel),
+                qo.restrict(odd_rows.T).T)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of A: those of its even half, then those of its odd half."""

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import SemiDiscreteSystem, State, quadratic_forms
+from .discretization import ParityBasis, SemiDiscreteSystem, State, quadratic_forms
 from .errors import JumpMismatch, SingularSystem
 
 SCHEMES = ("trapezoidal", "implicit_euler")
@@ -111,10 +111,10 @@ class Stepper:
         self.dt = float(dt)
         self.scheme = scheme
         self.theta = 0.5 if scheme == "trapezoidal" else 1.0
-        a = sps.csc_array(system.A)
-        eye = sps.identity(system.dim, format="csc")
+        implicit = (-self.theta * self.dt) * system.A
+        implicit[np.diag_indices(system.dim)] += 1.0
         try:
-            self._lu = splu(sps.csc_array(eye - self.theta * self.dt * a))
+            self._lu = splu(sps.csc_array(implicit))
         except RuntimeError as exc:
             raise SingularSystem(f"implicit matrix singular for dt={dt}") from exc
         self._dt_w = self.dt * self._lu.solve(np.asarray(system.B, dtype=float))
@@ -177,7 +177,7 @@ class Stepper:
         return inputs
 
     def _free_power(self, basis):
-        """(Q^T Phi0 Q)^_BLOCK for an orthonormal sparse basis Q (dim x n) that Phi0 keeps.
+        """(Q^T Phi0 Q)^_BLOCK for a ``ParityBasis`` Q (dim x n) that Phi0 keeps.
 
         Q^T Phi0 Q is solved for in slabs of ``_COLUMNS`` columns and squared
         log2 ``_BLOCK`` times between two (n, n) buffers: 2 log2(_BLOCK) n^3
@@ -188,10 +188,9 @@ class Stepper:
         """
         n = basis.shape[1]
         power, spare = np.empty((n, n)), np.empty((n, n))
-        basis = basis.tocsc()
         for lo in range(0, n, _COLUMNS):
-            slab = basis[:, lo:lo + _COLUMNS]
-            power[:, lo:lo + _COLUMNS] = basis.T @ self._free(slab.toarray(), "N")
+            slab = np.eye(n, min(_COLUMNS, n - lo), -lo)
+            power[:, lo:lo + _COLUMNS] = basis.restrict(self._free(basis.lift(slab), "N"))
         wide = 4 * _COLUMNS
         for _ in range(_BLOCK.bit_length() - 1):
             for lo in range(0, n, wide):
@@ -209,10 +208,8 @@ class Stepper:
         the start states z to F z + R v, v being the weighted inputs that
         ``reads`` gives.
         """
-        import scipy.sparse as sps
-
         dim = self._dt_w.size
-        free = self._free_power(sps.identity(dim, format="csr"))
+        free = self._free_power(ParityBasis(np.arange(dim), np.ones(dim), 1.0))
         m = self.gain.shape[0]
         weighted = self._weighted()
         rows = np.stack([self.gain, np.broadcast_to(c, self.gain.shape), weighted], axis=1)
@@ -274,27 +271,26 @@ class _SegmentJump:
     the free map, R the response to the weighted inputs (``_response``)
     and V the loop's weighted-input rows carried through the segment
     (``_carry``).  F keeps the mirror halves apart, so the chain runs in
-    the coordinates y = Q^T z, Q = [Q_e Q_o], where F is the block diagonal
+    the coordinates y = (Q_e^T z, Q_o^T z), where F is the block diagonal
     of F_e = (Q_e^T Phi0 Q_e)^_BLOCK and its odd twin: a quarter of the
     squarings' flops of the full state.  ``starts`` lifts a round of starts
-    back by Q.
+    back as the sum of the two halves' lifts.
     """
 
     def __init__(self, stepper, system, z0):
-        import scipy.sparse as sps
+        def restrict(x):  # (Q_e^T x, Q_o^T x) along the first axis of x
+            return np.concatenate([q.restrict(x) for q in self._halves])
 
-        halves = (system.even_basis, system.odd_basis)
-        self._basis = sps.hstack(halves, format="csr")
-        self._even = halves[0].shape[1]
-        self._powers = [stepper._free_power(q) for q in halves]
-        self._response = self._basis.T @ stepper._response()
+        self._halves = system.mirror_bases
+        self._powers = [stepper._free_power(q) for q in self._halves]
+        self._response = restrict(stepper._response())
         v = stepper._weighted()
-        self._carried = (self._basis.T @ stepper._carry(v[:, None], v)[0, 0].T).T
-        self._y = self._basis.T @ z0
+        self._carried = restrict(stepper._carry(v[:, None], v)[0, 0].T).T
+        self._y = restrict(z0)
 
     def starts(self, m):
         """(dim, m + 1): the starts of the next m segments and of the one after them."""
-        e = self._even
+        e = self._halves[0].shape[1]
         chain = np.empty((self._y.size, m + 1))
         chain[:, 0] = self._y
         for i in range(m):
@@ -302,7 +298,8 @@ class _SegmentJump:
             chain[:, i + 1] = np.concatenate([self._powers[0] @ y[:e], self._powers[1] @ y[e:]])
             chain[:, i + 1] += self._response @ (self._carried @ y)
         self._y = chain[:, m].copy()
-        return self._basis @ chain
+        even, odd = self._halves
+        return even.lift(chain[:e]) + odd.lift(chain[e:])
 
 
 def _check_jumps(starts, ends, first):

@@ -177,7 +177,7 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     even, _ = system.mirror_halves
-    basis = system.even_basis
+    basis = system.mirror_bases[0]
     b, c = even.B, even.C
     shifted = deflate_zero_modes(even)
     gain0 = alpha0 * c
@@ -194,8 +194,8 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
         p, iterations = _hamiltonian_sign(shifted, b, c, MAX_ITER)
         iterates = []
 
-    def lift(x):
-        x = basis @ x @ basis.T
+    def lift(x):  # Q_e x Q_e^T, with X Q_e^T = (Q_e X^T)^T
+        x = basis.lift(basis.lift(x).T).T
         return 0.5 * (x + x.T)
 
     p = lift(p)
@@ -250,11 +250,11 @@ def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
     1e-6 relative (plus 1e-12) of the least lower bound of the energy rows.
     """
     even, _ = system.mirror_halves
-    basis = system.even_basis
+    basis = system.mirror_bases[0]
     z0 = state_vector(system, z0)
-    gains = np.vstack([riccati.gain @ basis] + [alpha * even.C for alpha in alpha_grid])
-    horizon, z_end = feedback_costs(even, basis.T @ z0, gains, T, dt, scheme)
-    tails = np.vecdot(z_end, (basis.T @ riccati.P @ basis) @ z_end, axis=0)
+    gains = np.vstack([basis.restrict(riccati.gain)] + [alpha * even.C for alpha in alpha_grid])
+    horizon, z_end = feedback_costs(even, basis.restrict(z0), gains, T, dt, scheme)
+    tails = np.vecdot(z_end, basis.restrict(basis.restrict(riccati.P).T).T @ z_end, axis=0)
     costs = horizon + tails
     predicted = riccati.predicted_cost(z0)
     rows = [{"controller": "optimal", "J": float(costs[0]), "predicted": predicted}]

@@ -129,7 +129,8 @@ class TestConfig:
         for patch, error in (({"params": {"mu": 0.0}}, ValueError),
                              ({"grid": {"n_side": 7}}, InvalidGeometry),
                              ({"grid": {"L": 1.0}}, InvalidGeometry),
-                             ({"grid": {"sponge_width": -1.0}}, InvalidGeometry)):
+                             ({"grid": {"sponge_width": -1.0}}, InvalidGeometry),
+                             ({"grid": {"sponge_strength": -1.0}}, InvalidGeometry)):
             cfg = cli.load_config()
             for section, values in patch.items():
                 cfg[section].update(values)
@@ -137,6 +138,26 @@ class TestConfig:
                 cli.validate_config(cfg)
             with pytest.raises(error, match=re.escape(str(raised.value))):
                 dz.build_grid(PhysicalParams(**cfg["params"]), **cfg["grid"])
+
+    @pytest.mark.parametrize("verb", ["spectrum", "resolvent-check", "simulate", "lqr", "verify"])
+    @pytest.mark.parametrize("patch, message", [
+        # a negative strength makes the sponge a source of energy
+        ({"grid": {"sponge_strength": -1.0}}, "sponge_strength=-1.0 must be non-negative"),
+        # no Newton-Kleinman step can meet a tolerance of 0: it would run to MAX_ITER
+        ({"lqr": {"tol": 0.0}}, "lqr.tol must be positive"),
+        ({"lqr": {"tol": -1e-9}}, "lqr.tol must be positive")])
+    def test_every_verb_rejects_before_any_work(self, tmp_path, capsys, monkeypatch, verb,
+                                                patch, message):
+        def refuse(*args):
+            raise AssertionError("assembled before the configuration was checked")
+        monkeypatch.setattr(cli.dz, "assemble", refuse)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(patch))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), verb]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_option_is_a_configuration_error(self, tmp_path, capsys):
         # numpy's generators take no negative seed; the config check says
@@ -563,21 +584,15 @@ class TestImportCost:
     def test_build_and_half_line_work_leave_scipy_unloaded(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"grid": {"n_side": 24}}))
-        argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "resolvent-check"]
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
         steps = [
             "import numpy as np\nfrom floatlab import cli, discretization as dz, resolvent as rv",
             "_, grid, _ = cli._build(cli.load_config())\ndz.preset_state(grid, 'heave')",
-            f"assert cli.main({argv!r}) == 0",
+            f"assert cli.main({argv + ['resolvent-check']!r}) == 0",
+            # the mirror split of the eigenvalues is slot arithmetic on numpy
+            f"assert cli.main({argv + ['spectrum']!r}) == 0",
             "\n".join(["grid = np.linspace(1.0, 20.0, 9501)",
                        "phi = rv.HalfLineFunction('right', grid, np.exp(1.0 - grid))",
                        "rv.helmholtz_particular('right', 0.7 + 2.3j, phi)"]),
         ]
         assert self.loaded_after(steps, ["scipy"]) == [[]] * len(steps)
-
-    def test_spectrum_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # the mirror bases are scipy.sparse arrays; nothing in spectrum factors or solves
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"grid": {"n_side": 24}}))
-        argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "spectrum"]
-        steps = ["from floatlab import cli", f"assert cli.main({argv!r}) == 0"]
-        assert self.loaded_after(steps, ["scipy.linalg", "scipy.sparse.linalg"]) == [[], []]

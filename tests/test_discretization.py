@@ -47,6 +47,14 @@ class TestGrid:
         with pytest.raises(InvalidGeometry):
             dz.build_grid(P11, 5.0, 10, sponge_width=4.5)
 
+    @pytest.mark.parametrize("strength", [-1.0, -1e-300, np.nan])
+    def test_negative_sponge_strength_rejected(self, strength):
+        # sigma < 0 turns the sink into a source: the energy grows in the band
+        with pytest.raises(InvalidGeometry, match="sponge_strength"):
+            dz.build_grid(P11, 5.0, 10, sponge_width=2.0, sponge_strength=strength)
+        grid = dz.build_grid(P11, 5.0, 10, sponge_width=2.0, sponge_strength=0.0)
+        assert np.all(grid.sponge(grid.x_right) == 0.0)
+
     def test_state_dimension(self):
         # h on every node, flux interiors, plus H and the two boundary
         # fluxes: the boundary and truncation nodes are not duplicated,
@@ -177,8 +185,9 @@ class TestMirror:
     def test_system_without_a_grid_is_all_even(self):
         system = dz.SemiDiscreteSystem(np.diag([-1.0, -2.0]), np.ones(2), np.ones(2), None,
                                        np.zeros((2, 0)))
-        assert np.array_equal(system.even_basis.toarray(), np.eye(2))
-        assert system.odd_basis.shape == (2, 0)
+        even, odd = system.mirror_bases
+        assert np.array_equal(even.lift(np.eye(2)), np.eye(2)) and odd.shape == (2, 0)
+        assert np.array_equal(even.restrict(system.A), system.A)
         even, a_odd = system.mirror_halves
         assert even.kernel.shape == (2, 0)
         assert np.array_equal(even.A, system.A) and a_odd.shape == (0, 0)

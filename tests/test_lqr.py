@@ -194,9 +194,9 @@ class TestKernelIsSystemData:
             assert np.all(half.C @ z == 0.0)
         # so the even half is a complete system: its own Riccati solution is
         # the full one restricted to the even states
-        qe = system.even_basis
+        qe = system.mirror_bases[0]
         for method in lqr.METHODS:
-            want = qe.T @ lqr.care_solve(system, method=method).P @ qe
+            want = qe.restrict(qe.restrict(lqr.care_solve(system, method=method).P).T).T
             got = lqr.care_solve(even, method=method).P
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -236,8 +236,25 @@ class TestParameterSweep:
         assert np.array_equal(reflect @ system.B, system.B)
         assert np.array_equal(reflect @ system.C, system.C)
 
-        even, odd = system.even_basis.toarray(), system.odd_basis.toarray()
-        assert even.shape == (dim, 2 * n_side) and odd.shape == (dim, 2 * n_side - 1)
+        bases = system.mirror_bases
+        assert [q.shape for q in bases] == [(dim, 2 * n_side), (dim, 2 * n_side - 1)]
+        even, odd = (q.lift(np.eye(q.shape[1])) for q in bases)
+        rng = np.random.default_rng(n_side)
+        for q, dense in zip(bases, (even, odd)):
+            # restrict and lift are Q^T x and Q y on one column or several;
+            # lift places one product a slot, restrict adds two
+            lone = q.partner == q.lead
+            for shape in ((), (3,)):
+                x = rng.standard_normal((dim, *shape))
+                y = rng.standard_normal((q.shape[1], *shape))
+                assert q.restrict(x).shape == y.shape and q.lift(y).shape == x.shape
+                assert np.abs(q.restrict(x) - dense.T @ x).max() <= 2 * EPS * np.abs(x).max()
+                assert np.array_equal(q.lift(y), dense @ y)
+                # Q^T Q y is y bit for bit on a lone slot; a pair's weights
+                # square to fl(sqrt(0.5))^2 > 1/2, so there it is y to rounding
+                back = q.restrict(q.lift(y))
+                assert np.array_equal(back[lone], y[lone])
+                assert np.all(np.abs(back - y) <= 2 * EPS * np.abs(y))
         both = np.hstack([even, odd])
         assert np.abs(both.T @ both - np.eye(dim)).max() <= 1e-15
         assert np.array_equal(reflect @ even, even) and np.array_equal(reflect @ odd, -odd)
@@ -275,8 +292,8 @@ class TestMirrorHalf:
         assert np.linalg.norm(solution.P - reference, "fro") \
             <= 1e-12 * np.linalg.norm(reference, "fro")
         # P vanishes on the odd half bit for bit, and is symmetric bit for bit
-        odd = system.odd_basis
-        assert np.all(odd.T @ solution.P == 0.0)
+        odd = system.mirror_bases[1]
+        assert np.all(odd.restrict(solution.P) == 0.0)
         assert np.array_equal(solution.P, solution.P.T)
         assert solution.P.shape == (system.dim, system.dim)
         assert system.kernel.shape[1] == 3
