@@ -33,11 +33,13 @@ F is built.  ``simulate`` is the same march with the history.
 ``feedback_costs`` marches several feedback gains at once on one
 factorisation and keeps only the running cost |u|^2 + |Hdot|^2, which
 needs two numbers a step, u = -K z and Hdot = C z.  So it carries the
-rows K, C and the weighted input row of each loop ``_BLOCK`` steps back
-through the adjoint of the loop's step (transposed solves on the same
-LU), reads a whole block of outputs from one batched product with the
+rows K and C of each loop back through the adjoint of the loop's step
+(transposed solves on the same LU), K one step further than the block,
+reads a whole block of outputs from one batched product with the
 block's start states and moves on by the loop's jump map, with F
-squared on the full state.  The squarings cost about 2 log2(_BLOCK)
+squared on the full state.  The jump map's weighted inputs are those
+outputs too: a step's is theta u1 + (1-theta) u0, so no weighted-input
+row is carried.  The squarings cost about 2 log2(_BLOCK)
 dim^3 flops, which the saved solves repay several times over at the
 default grid; the two break even near dim 1600.
 ``lqr.compare_feedbacks`` marches the mirror-even half, of dim 2 n_side,
@@ -152,17 +154,17 @@ class Stepper:
         gain = np.atleast_2d(self.gain)
         return np.atleast_1d(self._scale)[:, None] * self._lu.solve(gain.T, "T").T
 
-    def _carry(self, rows, weighted):
-        """The rows r Phi_i^j, j < ``_BLOCK``: (m, p, _BLOCK, dim) for p rows (m, p, dim) a loop.
+    def _carry(self, rows, weighted, steps):
+        """The rows r Phi_i^j, j < ``steps``: (m, p, steps, dim) for p rows (m, p, dim) a loop.
 
         Loop i steps by Phi_i = Phi0 + w v_i, with w = dt M^-1 B and v_i
         its row of ``weighted``, so its adjoint r Phi_i = r Phi0 + (r w) v_i
         carries each row back one step by transposed solves.
         """
         m, p, dim = rows.shape
-        reads = np.empty((m, p, _BLOCK, dim))
+        reads = np.empty((m, p, steps, dim))
         reads[:, :, 0] = rows
-        for j in range(1, _BLOCK):
+        for j in range(1, steps):
             free_rows = self._free(rows.reshape(p * m, dim).T, "T").T.reshape(m, p, dim)
             rows = free_rows + (rows @ self._dt_w)[:, :, None] * weighted[:, None, :]
             reads[:, :, j] = rows
@@ -201,19 +203,20 @@ class Stepper:
     def block_maps(self, c):
         """The maps that advance the m loops of an (m, dim) gain block ``_BLOCK`` steps at once.
 
-        Returns ``reads``, whose (3*_BLOCK, dim) slab i holds the rows
-        K_i Phi_i^j, c Phi_i^j and v_i Phi_i^j for j < _BLOCK (see
+        Returns ``reads``, whose (2*_BLOCK + 1, dim) slab i holds the rows
+        K_i Phi_i^j for j <= _BLOCK and c Phi_i^j for j < _BLOCK (see
         ``_carry``); the free map F = Phi0^_BLOCK on the whole state (see
         ``_free_power``); and R (see ``_response``).  A block then moves
-        the start states z to F z + R v, v being the weighted inputs that
-        ``reads`` gives.
+        the start states z to F z + R v, v being the weighted inputs
+        v_j = theta u_(j+1) + (1-theta) u_j of its steps, u_j = -K_i Phi_i^j z.
         """
         dim = self._dt_w.size
         free = self._free_power(ParityBasis(np.arange(dim), np.ones(dim), 1.0))
         m = self.gain.shape[0]
-        weighted = self._weighted()
-        rows = np.stack([self.gain, np.broadcast_to(c, self.gain.shape), weighted], axis=1)
-        return self._carry(rows, weighted).reshape(m, 3 * _BLOCK, dim), free, self._response()
+        rows = np.stack([self.gain, np.broadcast_to(c, self.gain.shape)], axis=1)
+        # c Phi_i^_BLOCK, the last of the 2 (_BLOCK + 1) rows, is carried but not read
+        reads = self._carry(rows, self._weighted(), _BLOCK + 1).reshape(m, 2 * _BLOCK + 2, dim)
+        return reads[:, :-1], free, self._response()
 
 
 @dataclass
@@ -285,7 +288,7 @@ class _SegmentJump:
         self._powers = [stepper._free_power(q) for q in self._halves]
         self._response = restrict(stepper._response())
         v = stepper._weighted()
-        self._carried = restrict(stepper._carry(v[:, None], v)[0, 0].T).T
+        self._carried = restrict(stepper._carry(v[:, None], v, _BLOCK)[0, 0].T).T
         self._y = restrict(z0)
 
     def starts(self, m):
@@ -449,9 +452,10 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
 
     The m loops share one factorisation and march ``_BLOCK`` steps per
     block: one batched product of the start states with the rows of
-    ``Stepper.block_maps`` reads every step's u = -K z, Hdot = C z and
-    weighted input, and F z + R v moves to the next start.  A last part
-    of fewer than ``_BLOCK`` steps is stepped by ``Stepper.advance``.
+    ``Stepper.block_maps`` reads every step's u = -K z and Hdot = C z,
+    and u at the block's end; F z + R v moves to the next start, v being
+    the weighted inputs theta u1 + (1-theta) u0 of the block's steps.  A
+    last part of fewer than ``_BLOCK`` steps is stepped by ``Stepper.advance``.
     The maps cost about 2 log2(_BLOCK) dim^3 flops of squarings, against
     a sparse solve per step saved: the block march wins at the default
     grid and breaks even near dim 1600 (n_side 800 on the even half that
@@ -471,10 +475,13 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
     n_blocks = n_steps // _BLOCK
     if n_blocks:
         reads, free, inputs = stepper.block_maps(system.C)
+        theta = stepper.theta
         for k in range(0, n_blocks * _BLOCK, _BLOCK):
-            out = np.matmul(reads, z.T[:, :, None]).reshape(m, 3, _BLOCK)
-            u, hdot, v = out.transpose(1, 2, 0)  # each (_BLOCK, m)
-            running[k:k + _BLOCK] = u ** 2 + hdot ** 2
+            out = np.matmul(reads, z.T[:, :, None])[:, :, 0].T  # (2*_BLOCK + 1, m)
+            kz, hdot = out[:_BLOCK + 1], out[_BLOCK + 1:]  # K z_j for j <= _BLOCK, C z_j
+            running[k:k + _BLOCK] = kz[:-1] ** 2 + hdot ** 2
+            # the weighted inputs theta u_(j+1) + (1-theta) u_j of u = -K z
+            v = -theta * kz[1:] - (1.0 - theta) * kz[:-1]
             z = free @ z + inputs @ v
     k = n_blocks * _BLOCK
     running[k] = np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2

@@ -29,7 +29,9 @@ system built by hand has no mirror and is its own even half.
 
 Two independent solvers are provided and cross-checked: Newton-Kleinman
 (a sequence of Lyapunov equations from a stabilizing gain) and the
-matrix-sign iteration on the Hamiltonian block matrix.
+matrix-sign iteration on the Hamiltonian block matrix H, which
+``linalg.matrix_sign`` runs on the symmetric W = J H with an L D L^T
+factorisation a step.
 """
 
 from __future__ import annotations
@@ -125,7 +127,9 @@ def deflate_zero_modes(system: SemiDiscreteSystem):
 
 
 def _full_residual(a, b, c, p):
-    res = a.T @ p + p @ a - np.outer(p @ b, b @ p) + np.outer(c, c)
+    # A^T P + P A = S^T + S with S = P A, since P is symmetric: one dim^3 product
+    s = p @ a
+    res = s + s.T - np.outer(p @ b, b @ p) + np.outer(c, c)
     return float(np.linalg.norm(res, "fro"))
 
 
@@ -152,7 +156,7 @@ def _hamiltonian_sign(a, b, c, max_iter):
         [a, -np.outer(b, b)],
         [-np.outer(c, c), -a.T],
     ])
-    s, steps = matrix_sign(ham, max_iter=max_iter)
+    s, steps = matrix_sign(ham, max_iter)
     lhs = np.vstack([s[:m, m:], s[m:, m:] + np.eye(m)])
     rhs = -np.vstack([s[:m, :m] + np.eye(m), s[m:, :m]])
     # least squares on the full-column-rank (2m, m) system by a thin QR

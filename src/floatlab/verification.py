@@ -622,8 +622,10 @@ def suite_lqr(params):
     scalar = lqr_mod.care_solve(dz.SemiDiscreteSystem(np.array([[-1.0]]), np.ones(1),
                                                       np.ones(1), None, np.zeros((1, 0))))
     scalar_err = float(abs(scalar.P[0, 0] - (math.sqrt(2.0) - 1.0)))
-    sign, _ = matrix_sign(np.diag([-2.0, 3.0]))
-    sign_err = float(np.abs(sign - np.diag([-1.0, 1.0])).max())
+    # a Hamiltonian with H^2 = 7 I, whose sign is H / sqrt(7)
+    oracle = np.array([[1.0, 2.0], [3.0, -1.0]])
+    sign, _ = matrix_sign(oracle, lqr_mod.MAX_ITER)
+    sign_err = float(np.abs(sign - oracle / math.sqrt(7.0)).max())
 
     grid = dz.default_grid(params, n_side=LQR_N_SIDE)
     system = dz.assemble(grid)

@@ -5,46 +5,75 @@ from floatlab import linalg as la
 from floatlab.errors import ImaginaryAxisEigenvalue
 
 
+#: Step limit of the sign iteration in these tests.
+MAX_ITER = 100
+
+
+def random_hamiltonian(rng, m):
+    """[[A, G], [Q, -A^T]] with G and Q symmetric: J h is exactly symmetric."""
+    a = rng.standard_normal((m, m)) + 0.5 * np.eye(m)
+    g, q = (x + x.T for x in rng.standard_normal((2, m, m)))
+    return np.block([[a, g], [q, -a.T]])
+
+
+def similar_hamiltonian(rng, lam):
+    """(S diag(lam, -lam) S^-1, S diag(sign lam, -sign lam) S^-1) for a random symplectic S.
+
+    S = [[I, 0], [K, I]] [[M, 0], [0, M^-T]] [[I, L], [0, I]] with K, L
+    symmetric, and S^-1 = J^T S^T J.
+    """
+    m = lam.size
+    eye, zero = np.eye(m), np.zeros((m, m))
+    k, l = (0.3 * (x + x.T) for x in rng.standard_normal((2, m, m)))
+    big = rng.standard_normal((m, m)) / np.sqrt(m) + np.eye(m)
+    s = (np.block([[eye, zero], [k, eye]]) @ np.block([[big, zero], [zero, np.linalg.inv(big).T]])
+         @ np.block([[eye, l], [zero, eye]]))
+    j = np.block([[zero, eye], [-eye, zero]])
+    s_inv = j.T @ s.T @ j
+
+    def similar(d):
+        return s @ np.diag(np.concatenate([d, -d])) @ s_inv
+    return similar(lam), similar(np.sign(lam))
+
+
 class TestMatrixSign:
     def test_diagonal(self):
-        s, steps = la.matrix_sign(np.diag([-2.0, 3.0]))
-        assert s == pytest.approx(np.diag([-1.0, 1.0]))
+        # A = diag(-2, 3): the Hamiltonian diag(-2, 3, 2, -3)
+        s, steps = la.matrix_sign(np.diag([-2.0, 3.0, 2.0, -3.0]), MAX_ITER)
+        assert s == pytest.approx(np.diag([-1.0, 1.0, 1.0, -1.0]))
         assert 1 <= steps <= 10
 
     def test_squares_to_identity(self):
         rng = np.random.default_rng(2)
-        a = rng.standard_normal((8, 8)) + 0.5 * np.eye(8)
-        if np.any(np.abs(np.linalg.eigvals(a).real) < 1e-3):
+        h = random_hamiltonian(rng, 4)
+        if np.any(np.abs(np.linalg.eigvals(h).real) < 1e-3):
             pytest.skip("random draw too close to the imaginary axis")
-        s, _ = la.matrix_sign(a)
+        s, _ = la.matrix_sign(h, MAX_ITER)
         assert np.abs(s @ s - np.eye(8)).max() <= 1e-8
 
     def test_imaginary_axis_spectrum_rejected(self):
         rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
         with pytest.raises(ImaginaryAxisEigenvalue):
-            la.matrix_sign(rotation)
+            la.matrix_sign(rotation, MAX_ITER)
 
-    @pytest.mark.parametrize("singular", [np.zeros((3, 3)), np.diag([1.0, 0.0])])
+    @pytest.mark.parametrize("singular", [np.zeros((4, 4)), np.array([[0.0, 1.0], [0.0, 0.0]])])
     def test_singular_input_rejected(self, singular):
         with pytest.raises(ImaginaryAxisEigenvalue):
-            la.matrix_sign(singular)
+            la.matrix_sign(singular, MAX_ITER)
 
     def test_matches_eigendecomposition(self):
         rng = np.random.default_rng(5)
-        vecs = rng.standard_normal((40, 40)) + 4.0 * np.eye(40)
-        vals = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.1, 10.0, 40)
-        a = vecs @ np.diag(vals) @ np.linalg.inv(vecs)
-        expected = vecs @ np.diag(np.sign(vals)) @ np.linalg.inv(vecs)
-        assert np.abs(la.matrix_sign(a)[0] - expected).max() <= 1e-9 * np.abs(expected).max()
+        lam = rng.choice([-1.0, 1.0], 20) * rng.uniform(0.1, 10.0, 20)
+        h, expected = similar_hamiltonian(rng, lam)
+        assert np.abs(la.matrix_sign(h, MAX_ITER)[0] - expected).max() <= (
+            1e-9 * np.abs(expected).max())
 
     def test_wide_eigenvalue_spread(self):
         # eigenvalue moduli from 1e-4 to 1e2, the range of the Riccati Hamiltonian
         rng = np.random.default_rng(7)
-        vecs = rng.standard_normal((40, 40)) + 4.0 * np.eye(40)
-        vals = rng.choice([-1.0, 1.0], 40) * np.logspace(-4.0, 2.0, 40)
-        a = vecs @ np.diag(vals) @ np.linalg.inv(vecs)
-        expected = vecs @ np.diag(np.sign(vals)) @ np.linalg.inv(vecs)
-        s, _ = la.matrix_sign(a)
+        lam = rng.choice([-1.0, 1.0], 20) * np.logspace(-4.0, 2.0, 20)
+        h, expected = similar_hamiltonian(rng, lam)
+        s, _ = la.matrix_sign(h, MAX_ITER)
         assert np.abs(s - expected).max() <= 1e-9 * np.abs(expected).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -52,7 +81,18 @@ class TestMatrixSign:
         a = np.diag([-2.0, 3.0])
         a[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            la.matrix_sign(a)
+            la.matrix_sign(a, MAX_ITER)
+
+    @pytest.mark.parametrize("case", ["odd_size", "generic", "perturbed"])
+    def test_non_hamiltonian_input_rejected(self, case):
+        # J h must be symmetric to within HAMILTONIAN_TOL of its largest entry
+        h = {"odd_size": lambda: np.diag([-2.0, 3.0, 2.0]),
+             "generic": lambda: np.diag([-2.0, 3.0]),
+             "perturbed": lambda: random_hamiltonian(np.random.default_rng(3), 4)}[case]()
+        if case == "perturbed":
+            h[0, 1] += 1e3 * la.HAMILTONIAN_TOL * np.abs(h).max()
+        with pytest.raises(ValueError, match="Hamiltonian"):
+            la.matrix_sign(h, MAX_ITER)
 
 
 class TestBinaryFormat:

@@ -333,16 +333,16 @@ class TestMirrorHalf:
             monkeypatch.setattr(module, name, counted)
 
         spy(sla, "schur")
-        spy(sla.lapack, "dgetrf")
+        spy(sla.lapack, "dsytrf")
         spy(np.linalg, "solve")
         spy(np.linalg, "eigvals")
         lqr.care_solve(system, method=method)
         if method == "newton_kleinman":
             assert rows.keys() == {"schur", "solve"}
         else:
-            assert rows.keys() == {"dgetrf", "solve", "eigvals"}
+            assert rows.keys() == {"dsytrf", "solve", "eigvals"}
         for name, sizes in rows.items():
-            assert max(sizes) <= (4 if name == "dgetrf" else 2) * n_side, (name, sizes)
+            assert max(sizes) <= (4 if name == "dsytrf" else 2) * n_side, (name, sizes)
 
 
 class TestCareFullSystem:
