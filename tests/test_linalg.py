@@ -36,6 +36,13 @@ def similar_hamiltonian(rng, lam):
     return similar(lam), similar(np.sign(lam))
 
 
+def perturbed_hamiltonian():
+    """A random Hamiltonian with one entry of A moved by 1e3 ``HAMILTONIAN_TOL`` of its largest."""
+    h = random_hamiltonian(np.random.default_rng(3), 4)
+    h[0, 1] += 1e3 * la.HAMILTONIAN_TOL * np.abs(h).max()
+    return h
+
+
 class TestMatrixSign:
     def test_diagonal(self):
         # A = diag(-2, 3): the Hamiltonian diag(-2, 3, 2, -3)
@@ -83,14 +90,10 @@ class TestMatrixSign:
         with pytest.raises(ValueError, match="finite"):
             la.matrix_sign(a, MAX_ITER)
 
-    @pytest.mark.parametrize("case", ["odd_size", "generic", "perturbed"])
-    def test_non_hamiltonian_input_rejected(self, case):
-        # J h must be symmetric to within HAMILTONIAN_TOL of its largest entry
-        h = {"odd_size": lambda: np.diag([-2.0, 3.0, 2.0]),
-             "generic": lambda: np.diag([-2.0, 3.0]),
-             "perturbed": lambda: random_hamiltonian(np.random.default_rng(3), 4)}[case]()
-        if case == "perturbed":
-            h[0, 1] += 1e3 * la.HAMILTONIAN_TOL * np.abs(h).max()
+    @pytest.mark.parametrize("h", [np.diag([-2.0, 3.0, 2.0]), np.diag([-2.0, 3.0]),
+                                   perturbed_hamiltonian()],
+                             ids=["odd_size", "generic", "perturbed"])
+    def test_non_hamiltonian_input_rejected(self, h):
         with pytest.raises(ValueError, match="Hamiltonian"):
             la.matrix_sign(h, MAX_ITER)
 
