@@ -295,8 +295,9 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    # an overflow or invalid operation is a numerical failure, never a NaN
-    # or infinity in an artifact; so is an array too large to allocate
+    # an overflow, invalid operation or division by zero, of numpy or of Python
+    # floats, is a numerical failure, never a NaN or infinity in an artifact
+    # or a traceback; so is an array too large to allocate
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         with np.errstate(over="raise", invalid="raise"):
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
     except CompatibilityViolation as exc:
         print(f"incompatible initial data: {exc}", file=sys.stderr)
         return 3
-    except (FloatLabError, np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
+    except (FloatLabError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -14,38 +14,39 @@ rank-one (Sherman-Morrison) correction along w = (I - theta*dt*A)^-1 B,
 so the closed loop A - B K is never formed.
 
 A step is linear, so ``_BLOCK`` steps of a loop are one jump map
-z -> F z + R (V z): F = Phi0^_BLOCK is the free map, R the response to
-the weighted inputs and V the loop's weighted-input rows carried through
-the block.  ``simulate_adaptive`` cuts its horizon into segments of
-``_BLOCK`` steps from step 0.  It chains the segment starts by the jump
-map, then marches ``_COLUMNS`` segments side by side, so each step of
-such a round is one multi-column solve; the states of each step are
-reduced at once to the sampled columns (H, Hdot, q-+, the energy and the
-energy audit's two quadratic forms), so no state history is kept unless
-asked for.  Each jumped start is checked against the marched end of the
-segment before it.  F keeps the mirror halves of the state apart, so it
-is built as the two half powers (Q^T Phi0 Q)^_BLOCK by squarings: about
-3 dim^3 flops, a quarter of the full state's.  Where the
-horizon is too short to repay them (fewer than ``_JUMP_PAYOFF`` dim^2
-steps) the same loop marches one segment over the whole horizon and no
-F is built.  ``simulate`` is the same march with the history.
+z -> F z + R v (``_JumpMap``), which both marches below use.  F =
+Phi0^_BLOCK is the free map and R the response to the weighted inputs
+v_j = theta u_(j+1) + (1-theta) u_j of the block's steps.  The inputs
+are read off the block's start: the rows K and C of each loop are
+carried back through the adjoint of its step (transposed solves on the
+same LU) over _BLOCK + 1 steps, so one product of the carried rows with
+a start z gives every step's u = -K z and Hdot = C z and the u that ends
+the block.  F keeps the mirror halves of the state apart, so the map
+works on y = (Q_e^T z, Q_o^T z), where F is the two half powers
+(Q^T Phi0 Q)^_BLOCK, built by squarings: about 3 dim^3 flops, a quarter
+of one power of the full state.  A system built by hand has no mirror,
+and its F is that one power, about 2 log2(_BLOCK) dim^3 flops.
+
+``simulate_adaptive`` cuts its horizon into segments of ``_BLOCK`` steps
+from step 0.  It chains the segment starts by the jump map, then marches
+``_COLUMNS`` segments side by side, so each step of such a round is one
+multi-column solve; the states of each step are reduced at once to the
+sampled columns (H, Hdot, q-+, the energy and the energy audit's two
+quadratic forms), so no state history is kept unless asked for.  Each
+jumped start is checked against the marched end of the segment before
+it.  Where the horizon is too short to repay F (fewer than
+``_JUMP_PAYOFF`` dim^2 steps) the same loop marches one segment over the
+whole horizon and no map is built.  ``simulate`` is the same march with
+the history.
 
 ``feedback_costs`` marches several feedback gains at once on one
-factorisation and keeps only the running cost |u|^2 + |Hdot|^2, which
-needs two numbers a step, u = -K z and Hdot = C z.  So it carries the
-rows K and C of each loop back through the adjoint of the loop's step
-(transposed solves on the same LU), K one step further than the block,
-reads a whole block of outputs from one batched product with the
-block's start states and moves on by the loop's jump map, with F
-squared on the full state.  The jump map's weighted inputs are those
-outputs too: a step's is theta u1 + (1-theta) u0, so no weighted-input
-row is carried.  The squarings cost about 2 log2(_BLOCK)
-dim^3 flops, which the saved solves repay several times over at the
-default grid; the two break even near dim 1600.
-``lqr.compare_feedbacks`` marches the mirror-even half, of dim 2 n_side,
-so there the break-even is near n_side 800 (n_side 400 on the full
-state).  The cost beyond the horizon is priced by the caller from the
-final states (``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
+factorisation and keeps only the running cost |u|^2 + |Hdot|^2, which a
+block's reads give; the jump map then moves to the next block, so a
+block costs one batched product and no solve.  ``lqr.compare_feedbacks``
+marches the mirror-even half, a system of dim 2 n_side with no mirror,
+whose squarings the saved solves repay up to about n_side 800.  The
+cost beyond the horizon is priced by the caller from the final states
+(``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import ParityBasis, SemiDiscreteSystem, State, quadratic_forms
+from .discretization import SemiDiscreteSystem, State, quadratic_forms
 from .errors import JumpMismatch, SingularSystem
 
 SCHEMES = ("trapezoidal", "implicit_euler")
 #: Steps per segment of ``simulate_adaptive`` and per block of
 #: ``feedback_costs``: a power of two, so that the free map Phi0^_BLOCK is
-#: log2 _BLOCK squarings.  A segment's jump map holds (dim, _BLOCK) input
-#: response and weighted-input rows besides F.
+#: log2 _BLOCK squarings.  Besides F the jump map holds the (dim, _BLOCK)
+#: input response and 2 (_BLOCK + 1) carried rows a loop.
 _BLOCK = 64
 #: ``simulate_adaptive`` cuts n steps into segments when n >= this * dim^2,
 #: else it marches one segment.  F costs ~dim^3 flops and the side-by-side
@@ -71,9 +72,10 @@ _BLOCK = 64
 #: n_side 200 and 400; below n_side 50 a fixed set-up cost moves it up.
 _JUMP_PAYOFF = 6e-3
 #: Columns of a multi-column solve: the segments that ``simulate_adaptive``
-#: marches side by side, the columns it samples at once and the slab of
-#: Q^T Phi0 Q that ``Stepper._free_power`` solves for.  From about 8
-#: columns a solve costs 7 us a column at dim 399, against 23 us for one.
+#: marches side by side, the columns it samples at once, the slab of
+#: Q^T Phi0 Q that ``Stepper._free_power`` solves for and the rows of
+#: ``_JumpMap.reads`` restricted at once.  From about 8 columns a solve
+#: costs 7 us a column at dim 399, against 23 us for one.
 #: 64 columns marched 500 time units 5-15 % faster, but their temporaries
 #: put the verb's peak memory 0.4 MB higher, 2.5 % above a one-column march.
 _COLUMNS = 32
@@ -145,23 +147,18 @@ class Stepper:
         s -= self._lag * x
         return s
 
-    def _weighted(self):
-        """The weighted input rows v_i = sigma_i K_i M^-1 of the loops, (m, dim) for m gain rows.
+    def _carry(self, rows, steps):
+        """The rows r Phi_i^j, j < ``steps``, of p rows (m, p, dim) a loop: (m, p, steps, dim).
 
-        sigma_i is the Sherman-Morrison scale, so v_i z is the weighted
-        input theta*u1 + (1-theta)*u0 of a step from z.
-        """
-        gain = np.atleast_2d(self.gain)
-        return np.atleast_1d(self._scale)[:, None] * self._lu.solve(gain.T, "T").T
-
-    def _carry(self, rows, weighted, steps):
-        """The rows r Phi_i^j, j < ``steps``: (m, p, steps, dim) for p rows (m, p, dim) a loop.
-
-        Loop i steps by Phi_i = Phi0 + w v_i, with w = dt M^-1 B and v_i
-        its row of ``weighted``, so its adjoint r Phi_i = r Phi0 + (r w) v_i
-        carries each row back one step by transposed solves.
+        Loop i steps by Phi_i = Phi0 + w v_i, with w = dt M^-1 B and
+        v_i = sigma_i K_i M^-1, sigma_i the Sherman-Morrison scale, so that
+        v_i z is the weighted input theta*u1 + (1-theta)*u0 of a step from
+        z.  Its adjoint r Phi_i = r Phi0 + (r w) v_i carries each row back
+        one step by transposed solves.
         """
         m, p, dim = rows.shape
+        gain = np.atleast_2d(self.gain)
+        weighted = np.atleast_1d(self._scale)[:, None] * self._lu.solve(gain.T, "T").T
         reads = np.empty((m, p, steps, dim))
         reads[:, :, 0] = rows
         for j in range(1, steps):
@@ -199,24 +196,6 @@ class Stepper:
                 np.matmul(power, power[:, lo:lo + wide], out=spare[:, lo:lo + wide])
             power, spare = spare, power
         return power
-
-    def block_maps(self, c):
-        """The maps that advance the m loops of an (m, dim) gain block ``_BLOCK`` steps at once.
-
-        Returns ``reads``, whose (2*_BLOCK + 1, dim) slab i holds the rows
-        K_i Phi_i^j for j <= _BLOCK and c Phi_i^j for j < _BLOCK (see
-        ``_carry``); the free map F = Phi0^_BLOCK on the whole state (see
-        ``_free_power``); and R (see ``_response``).  A block then moves
-        the start states z to F z + R v, v being the weighted inputs
-        v_j = theta u_(j+1) + (1-theta) u_j of its steps, u_j = -K_i Phi_i^j z.
-        """
-        dim = self._dt_w.size
-        free = self._free_power(ParityBasis(np.arange(dim), np.ones(dim), 1.0))
-        m = self.gain.shape[0]
-        rows = np.stack([self.gain, np.broadcast_to(c, self.gain.shape)], axis=1)
-        # c Phi_i^_BLOCK, the last of the 2 (_BLOCK + 1) rows, is carried but not read
-        reads = self._carry(rows, self._weighted(), _BLOCK + 1).reshape(m, 2 * _BLOCK + 2, dim)
-        return reads[:, :-1], free, self._response()
 
 
 @dataclass
@@ -267,42 +246,58 @@ def _sample(z, system, forms):
     return np.vstack([z[[lay.H]], system.C @ z, z[[lay.q_minus, lay.q_plus]], energies])
 
 
-class _SegmentJump:
-    """The chain of segment starts, each ``_BLOCK`` steps of the loop on from the one before.
+class _JumpMap:
+    """``_BLOCK`` steps of the m loops of a ``Stepper`` as one map y -> F y + R v.
 
-    A segment's march is z -> F z + R (V z) in one map: F = Phi0^_BLOCK is
-    the free map, R the response to the weighted inputs (``_response``)
-    and V the loop's weighted-input rows carried through the segment
-    (``_carry``).  F keeps the mirror halves apart, so the chain runs in
-    the coordinates y = (Q_e^T z, Q_o^T z), where F is the block diagonal
-    of F_e = (Q_e^T Phi0 Q_e)^_BLOCK and its odd twin: a quarter of the
-    squarings' flops of the full state.  ``starts`` lifts a round of starts
-    back as the sum of the two halves' lifts.
+    y = (Q_e^T z, Q_o^T z) for the system's ``mirror_bases`` (Q_e, Q_o); there
+    F is the block diagonal of the half powers (Q^T Phi0 Q)^_BLOCK
+    (``_free_power``) and R is Q^T of ``_response``.  ``reads[i]`` holds loop
+    i's carried rows (``_carry``) K_i Phi_i^j Q, then C Phi_i^j Q, for
+    j <= _BLOCK, so reads[i] y gives the block's K_i z_j, whence u_j and v
+    (see the module docstring), and its Hdot_j.
     """
 
-    def __init__(self, stepper, system, z0):
-        def restrict(x):  # (Q_e^T x, Q_o^T x) along the first axis of x
-            return np.concatenate([q.restrict(x) for q in self._halves])
-
+    def __init__(self, stepper, system):
         self._halves = system.mirror_bases
         self._powers = [stepper._free_power(q) for q in self._halves]
-        self._response = restrict(stepper._response())
-        v = stepper._weighted()
-        self._carried = restrict(stepper._carry(v[:, None], v, _BLOCK)[0, 0].T).T
-        self._y = restrict(z0)
+        self._response = self.restrict(stepper._response())
+        self._theta = stepper.theta
+        gain = np.atleast_2d(stepper.gain)
+        rows = np.stack([gain, np.broadcast_to(system.C, gain.shape)], axis=1)
+        self.reads = stepper._carry(rows, _BLOCK + 1).reshape(len(gain), 2 * _BLOCK + 2, -1)
+        for loop in self.reads:  # in place, _COLUMNS rows at a time: no copy of the reads
+            for lo in range(0, len(loop), _COLUMNS):
+                loop[lo:lo + _COLUMNS] = self.restrict(loop[lo:lo + _COLUMNS].T).T
 
-    def starts(self, m):
-        """(dim, m + 1): the starts of the next m segments and of the one after them."""
-        e = self._halves[0].shape[1]
-        chain = np.empty((self._y.size, m + 1))
-        chain[:, 0] = self._y
-        for i in range(m):
-            y = chain[:, i]
-            chain[:, i + 1] = np.concatenate([self._powers[0] @ y[:e], self._powers[1] @ y[e:]])
-            chain[:, i + 1] += self._response @ (self._carried @ y)
-        self._y = chain[:, m].copy()
+    def restrict(self, x):
+        """y = (Q_e^T x, Q_o^T x) along the first axis of x."""
+        return np.concatenate([q.restrict(x) for q in self._halves])
+
+    def lift(self, y):
+        """Q_e y_e + Q_o y_o along the first axis of y."""
         even, odd = self._halves
-        return even.lift(chain[:e]) + odd.lift(chain[e:])
+        e = even.shape[1]
+        return even.lift(y[:e]) + odd.lift(y[e:])
+
+    def advance(self, y, kz):
+        """F y + R v for an (n,) or (n, m) y, v formed from the K z_j, j <= _BLOCK, in ``kz``."""
+        v = -self._theta * kz[1:] - (1.0 - self._theta) * kz[:-1]
+        e = self._halves[0].shape[1]
+        ends = self._response @ v
+        ends[:e] += self._powers[0] @ y[:e]
+        ends[e:] += self._powers[1] @ y[e:]
+        return ends
+
+    def starts(self, y, m):
+        """(dim, m + 1): the starts of m segments of the one loop from y and of the one after.
+
+        Also returns the y of the last of those starts.
+        """
+        chain = np.empty((y.size, m + 1))
+        chain[:, 0] = y
+        for i in range(m):
+            chain[:, i + 1] = self.advance(chain[:, i], self.reads[0, :_BLOCK + 1] @ chain[:, i])
+        return self.lift(chain), chain[:, m].copy()
 
 
 def _check_jumps(starts, ends, first):
@@ -413,7 +408,8 @@ def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
     # _BLOCK-step segments where the jump map repays its squarings, else one
     seg = _BLOCK if n_steps >= _JUMP_PAYOFF * system.dim ** 2 else n_steps
     n_seg = -(-n_steps // seg)
-    jump = _SegmentJump(stepper, system, z) if n_seg > 1 else None
+    jump = _JumpMap(stepper, system) if n_seg > 1 else None
+    y = None if jump is None else jump.restrict(z)  # the next start, chained in y
     # the last segment runs to its end past t_max; those steps are cut off
     states = np.empty((n_seg * seg + 1, system.dim)) if history else None
     inputs = np.empty(n_seg * seg + 1)
@@ -429,7 +425,7 @@ def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
         while marched < end:
             first = marched // seg
             m = min(_COLUMNS, n_seg - first)
-            starts = z[:, None] if jump is None else jump.starts(m)
+            starts, y = (z[:, None], None) if jump is None else jump.starts(y, m)
             if first == 0:  # z0 itself, not its round trip through the mirror basis
                 starts[:, 0] = z
             steps = slice(marched + 1, marched + m * seg + 1)
@@ -451,16 +447,11 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
     """Costs over [0, T] of the closed loops u = -K z from z0, one per row K of ``gains``.
 
     The m loops share one factorisation and march ``_BLOCK`` steps per
-    block: one batched product of the start states with the rows of
-    ``Stepper.block_maps`` reads every step's u = -K z and Hdot = C z,
-    and u at the block's end; F z + R v moves to the next start, v being
-    the weighted inputs theta u1 + (1-theta) u0 of the block's steps.  A
-    last part of fewer than ``_BLOCK`` steps is stepped by ``Stepper.advance``.
-    The maps cost about 2 log2(_BLOCK) dim^3 flops of squarings, against
-    a sparse solve per step saved: the block march wins at the default
-    grid and breaks even near dim 1600 (n_side 800 on the even half that
-    ``lqr.compare_feedbacks`` marches).  Only the running cost
-    |u|^2 + |Hdot|^2 is kept, not the state history.
+    block by the jump map: one batched product of the start states with
+    its ``reads`` gives every step's u = -K z and Hdot = C z, and F y + R v
+    moves to the next start.  A last part of fewer than ``_BLOCK`` steps is
+    stepped by ``Stepper.advance``.  Only the running cost |u|^2 + |Hdot|^2
+    is kept, not the state history.
     Returns its m trapezoid integrals as an (m,) array and the final
     states z(T) as the columns of a (dim, m) block.
     """
@@ -474,15 +465,14 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
     running = np.empty((n_steps + 1, m))
     n_blocks = n_steps // _BLOCK
     if n_blocks:
-        reads, free, inputs = stepper.block_maps(system.C)
-        theta = stepper.theta
+        jump = _JumpMap(stepper, system)
+        y = jump.restrict(z)
         for k in range(0, n_blocks * _BLOCK, _BLOCK):
-            out = np.matmul(reads, z.T[:, :, None])[:, :, 0].T  # (2*_BLOCK + 1, m)
-            kz, hdot = out[:_BLOCK + 1], out[_BLOCK + 1:]  # K z_j for j <= _BLOCK, C z_j
+            out = np.matmul(jump.reads, y.T[:, :, None])[:, :, 0].T  # (2*_BLOCK + 2, m)
+            kz, hdot = out[:_BLOCK + 1], out[_BLOCK + 1:-1]  # K z_j, j <= _BLOCK; C z_j, j < _BLOCK
             running[k:k + _BLOCK] = kz[:-1] ** 2 + hdot ** 2
-            # the weighted inputs theta u_(j+1) + (1-theta) u_j of u = -K z
-            v = -theta * kz[1:] - (1.0 - theta) * kz[:-1]
-            z = free @ z + inputs @ v
+            y = jump.advance(y, kz)
+        z = jump.lift(y)
     k = n_blocks * _BLOCK
     running[k] = np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2
     for k in range(k + 1, n_steps + 1):
@@ -500,17 +490,19 @@ class EnergyBalanceReport:
     separately in ``sponge_sink``).
     """
 
-    times_mid: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     sponge_sink: np.ndarray
-    max_defect: float
+
+    @property
+    def max_defect(self) -> float:
+        return float(np.abs(self.lhs - self.rhs).max(initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
             "max_defect": self.max_defect,
             "mean_defect": float(np.mean(np.abs(self.lhs - self.rhs))),
-            "steps": len(self.times_mid),
+            "steps": len(self.lhs),
             "max_sponge_sink": float(self.sponge_sink.max(initial=0.0)),
         }
 
@@ -529,6 +521,4 @@ def energy_balance_report(trajectory: Trajectory) -> EnergyBalanceReport:
     rate = -trajectory.system.grid.params.mu * gradsq + trajectory.inputs * trajectory.outputs()
     sink_mid = 0.5 * (sink[:-1] + sink[1:])
     rhs = 0.5 * (rate[:-1] + rate[1:]) - sink_mid
-    times_mid = 0.5 * (trajectory.times[:-1] + trajectory.times[1:])
-    max_defect = float(np.abs(lhs - rhs).max(initial=0.0))
-    return EnergyBalanceReport(times_mid, lhs, rhs, sink_mid, max_defect)
+    return EnergyBalanceReport(lhs, rhs, sink_mid)

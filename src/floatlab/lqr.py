@@ -215,14 +215,21 @@ class FeedbackComparison:
     price of the state left at the horizon.  P is the minimal cost-to-go,
     so J is the exact infinite-horizon cost of the optimal row (up to the
     time step's error) and a lower bound, nondecreasing in T, for every
-    other row.  ``tail_exact`` is the optimal row's z(T)^T P z(T).
+    other row.  The first row is the optimal one, which ``optimal_cost``
+    and ``predicted_optimal`` read; ``tail_exact`` is its z(T)^T P z(T).
     """
 
     rows: list[dict]
-    predicted_optimal: float
-    optimal_cost: float
     optimal_is_best: bool
-    tail_exact: float = 0.0
+    tail_exact: float
+
+    @property
+    def optimal_cost(self) -> float:
+        return self.rows[0]["J"]
+
+    @property
+    def predicted_optimal(self) -> float:
+        return self.rows[0]["predicted"]
 
     @property
     def relative_gap(self) -> float:
@@ -265,5 +272,4 @@ def compare_feedbacks(system, z0, alpha_grid, riccati: RiccatiSolution,
     rows += [{"controller": f"alpha={alpha:g}", "J": float(j)}
              for alpha, j in zip(alpha_grid, costs[1:])]
     best = bool(costs[0] <= costs[1:].min(initial=np.inf) * (1.0 + 1e-6) + 1e-12)
-    return FeedbackComparison(rows, predicted, float(costs[0]), best,
-                              tail_exact=float(tails[0]))
+    return FeedbackComparison(rows, best, float(tails[0]))

@@ -475,6 +475,17 @@ class TestNumericalFailure:
         assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
         assert not list((tmp_path / "out").glob("*.json"))
 
+    @pytest.mark.parametrize("config", [{"grid": {"L": 1e300}}, {"params": {"mu": 1e300}},
+                                        {"params": {"a": 1e-200}}],
+                             ids=["L=1e300", "mu=1e300", "a=1e-200"])
+    def test_python_float_error_exits_two(self, tmp_path, config):
+        # Python floats raise OverflowError or ZeroDivisionError, which
+        # np.errstate does not turn into FloatingPointError
+        done = run_cli(tmp_path, "spectrum", config=config)
+        assert done.returncode == 2
+        assert done.stderr.startswith("numerical failure: ") and done.stderr.count("\n") == 1
+        assert not list((tmp_path / "out").iterdir())
+
     def test_failed_simulate_writes_no_artifact(self, tmp_path):
         # the march finishes and the energy audit overflows; the parent had
         # written trajectory.csv by then

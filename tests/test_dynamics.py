@@ -166,13 +166,13 @@ class TestSegmentedMarchAgainstDense:
         if columns is not None:
             monkeypatch.setattr(dyn, "_COLUMNS", columns)
         built = []
-        init = dyn._SegmentJump.__init__
+        init = dyn._JumpMap.__init__
 
         def spy(self, *args):
             built.append(args)
             init(self, *args)
 
-        monkeypatch.setattr(dyn._SegmentJump, "__init__", spy)
+        monkeypatch.setattr(dyn._JumpMap, "__init__", spy)
         system = small_system(24)
         # a gain that is not mirror-even, so both halves of the jump carry input
         rng = np.random.default_rng(8)
@@ -480,9 +480,12 @@ class TestFeedbackCosts:
     @pytest.mark.parametrize("n_steps", [dyn._BLOCK // 2, 2 * dyn._BLOCK, 2 * dyn._BLOCK + 5],
                              ids=["under_one_block", "two_blocks", "two_blocks_and_tail"])
     def test_block_boundaries_match_separate_marches(self, scheme, n_steps):
-        # no block, two blocks and no stepped tail, two blocks and a tail of 5
+        # no block, two blocks and no stepped tail, two blocks and a tail of 5;
+        # the last gain is not mirror-even, so both halves of the jump carry input
         system = small_system(24)
-        gains = [None, 2.0 * system.C, lqr.care_solve(system).gain]
+        rng = np.random.default_rng(8)
+        gains = [None, 2.0 * system.C, lqr.care_solve(system).gain,
+                 0.5 * system.C + 0.05 * rng.standard_normal(system.dim)]
         assert_costs_match_marches(system, dz.bump_state(system.grid), gains, n_steps, scheme)
 
 

@@ -540,7 +540,7 @@ class TestCompareFeedbacks:
         # a zero prediction with a nonzero cost: the row and the table agree
         table = lqr.FeedbackComparison(
             [{"controller": "optimal", "J": 0.5, "predicted": 0.0},
-             {"controller": "alpha=1", "J": 0.7}], 0.0, 0.5, True)
+             {"controller": "alpha=1", "J": 0.7}], True, 0.0)
         path = tmp_path / "compare.csv"
         table.write_csv(path)
         lines = path.read_text().splitlines()
