@@ -17,15 +17,16 @@ A step is linear, so ``_BLOCK`` steps of a loop are one jump map
 z -> F z + R v (``_JumpMap``), which both marches below use.  F =
 Phi0^_BLOCK is the free map and R the response to the weighted inputs
 v_j = theta u_(j+1) + (1-theta) u_j of the block's steps.  The inputs
-are read off the block's start: the rows K and C of each loop are
-carried back through the adjoint of its step (transposed solves on the
-same LU) over _BLOCK + 1 steps, so one product of the carried rows with
-a start z gives every step's u = -K z and Hdot = C z and the u that ends
-the block.  F keeps the mirror halves of the state apart, so the map
-works on y = (Q_e^T z, Q_o^T z), where F is the two half powers
-(Q^T Phi0 Q)^_BLOCK, built by squarings: about 3 dim^3 flops, a quarter
-of one power of the full state.  A system built by hand has no mirror,
-and its F is that one power, about 2 log2(_BLOCK) dim^3 flops.
+are read off the block's start: the row K of each loop, and C where the
+running cost is wanted, are carried back through the adjoint of its
+step (transposed solves on the same LU) over _BLOCK + 1 steps, so one
+product of the carried rows with a start z gives every step's u = -K z
+(and Hdot = C z) and the u that ends the block.  F keeps the mirror
+halves of the state apart, so the map works on y = (Q_e^T z, Q_o^T z),
+where F is the two half powers (Q^T Phi0 Q)^_BLOCK, built by squarings:
+about 3 dim^3 flops, a quarter of one power of the full state.  A
+system built by hand has no mirror, and its F is that one power, about
+2 log2(_BLOCK) dim^3 flops.
 
 ``simulate_adaptive`` cuts its horizon into segments of ``_BLOCK`` steps
 from step 0.  It chains the segment starts by the jump map, then marches
@@ -62,7 +63,7 @@ SCHEMES = ("trapezoidal", "implicit_euler")
 #: Steps per segment of ``simulate_adaptive`` and per block of
 #: ``feedback_costs``: a power of two, so that the free map Phi0^_BLOCK is
 #: log2 _BLOCK squarings.  Besides F the jump map holds the (dim, _BLOCK)
-#: input response and 2 (_BLOCK + 1) carried rows a loop.
+#: input response and _BLOCK + 1 carried rows a loop, twice that with C.
 _BLOCK = 64
 #: ``simulate_adaptive`` cuts n steps into segments when n >= this * dim^2,
 #: else it marches one segment.  F costs ~dim^3 flops and the side-by-side
@@ -161,9 +162,14 @@ class Stepper:
         weighted = np.atleast_1d(self._scale)[:, None] * self._lu.solve(gain.T, "T").T
         reads = np.empty((m, p, steps, dim))
         reads[:, :, 0] = rows
+        # r w is a BLAS gemv on two or more rows but a dot on one, and the two
+        # round apart: a lone row is carried beside a zero row, so K's reads
+        # are the same bits whether C rides along or not
+        padded = np.zeros((m, max(p, 2), dim))
         for j in range(1, steps):
+            padded[:, :p] = rows
             free_rows = self._free(rows.reshape(p * m, dim).T, "T").T.reshape(m, p, dim)
-            rows = free_rows + (rows @ self._dt_w)[:, :, None] * weighted[:, None, :]
+            rows = free_rows + (padded @ self._dt_w)[:, :p, None] * weighted[:, None, :]
             reads[:, :, j] = rows
         return reads
 
@@ -252,19 +258,20 @@ class _JumpMap:
     y = (Q_e^T z, Q_o^T z) for the system's ``mirror_bases`` (Q_e, Q_o); there
     F is the block diagonal of the half powers (Q^T Phi0 Q)^_BLOCK
     (``_free_power``) and R is Q^T of ``_response``.  ``reads[i]`` holds loop
-    i's carried rows (``_carry``) K_i Phi_i^j Q, then C Phi_i^j Q, for
-    j <= _BLOCK, so reads[i] y gives the block's K_i z_j, whence u_j and v
-    (see the module docstring), and its Hdot_j.
+    i's carried rows (``_carry``) K_i Phi_i^j Q, then, with ``outputs``,
+    C Phi_i^j Q, for j <= _BLOCK, so reads[i] y gives the block's K_i z_j,
+    whence u_j and v (see the module docstring), and its Hdot_j.
     """
 
-    def __init__(self, stepper, system):
+    def __init__(self, stepper, system, outputs):
         self._halves = system.mirror_bases
         self._powers = [stepper._free_power(q) for q in self._halves]
         self._response = self.restrict(stepper._response())
         self._theta = stepper.theta
         gain = np.atleast_2d(stepper.gain)
-        rows = np.stack([gain, np.broadcast_to(system.C, gain.shape)], axis=1)
-        self.reads = stepper._carry(rows, _BLOCK + 1).reshape(len(gain), 2 * _BLOCK + 2, -1)
+        rows = np.stack([gain, np.broadcast_to(system.C, gain.shape)] if outputs else [gain],
+                        axis=1)
+        self.reads = stepper._carry(rows, _BLOCK + 1).reshape(len(gain), -1, system.dim)
         for loop in self.reads:  # in place, _COLUMNS rows at a time: no copy of the reads
             for lo in range(0, len(loop), _COLUMNS):
                 loop[lo:lo + _COLUMNS] = self.restrict(loop[lo:lo + _COLUMNS].T).T
@@ -408,7 +415,7 @@ def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
     # _BLOCK-step segments where the jump map repays its squarings, else one
     seg = _BLOCK if n_steps >= _JUMP_PAYOFF * system.dim ** 2 else n_steps
     n_seg = -(-n_steps // seg)
-    jump = _JumpMap(stepper, system) if n_seg > 1 else None
+    jump = _JumpMap(stepper, system, outputs=False) if n_seg > 1 else None
     y = None if jump is None else jump.restrict(z)  # the next start, chained in y
     # the last segment runs to its end past t_max; those steps are cut off
     states = np.empty((n_seg * seg + 1, system.dim)) if history else None
@@ -465,7 +472,7 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
     running = np.empty((n_steps + 1, m))
     n_blocks = n_steps // _BLOCK
     if n_blocks:
-        jump = _JumpMap(stepper, system)
+        jump = _JumpMap(stepper, system, outputs=True)
         y = jump.restrict(z)
         for k in range(0, n_blocks * _BLOCK, _BLOCK):
             out = np.matmul(jump.reads, y.T[:, :, None])[:, :, 0].T  # (2*_BLOCK + 2, m)

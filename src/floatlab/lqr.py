@@ -32,6 +32,17 @@ Two independent solvers are provided and cross-checked: Newton-Kleinman
 matrix-sign iteration on the Hamiltonian block matrix H, which
 ``linalg.matrix_sign`` runs on the symmetric W = J H with an L D L^T
 factorisation a step.
+
+Every Newton-Kleinman closed loop A0 - B d^T, d = K - g0, is a rank-one
+change of the first one, A0 = A - B g0^T with g0 = alpha0 * C.  So all
+steps but the last run in the eigenbasis of A0 from one ``eig``, each
+one complex n x n solve (``_ModalSteps``) in place of a real Schur form
+and a Sylvester solve.  The step that meets the stop test is made again
+from the gain before it by ``lyapunov_solve``, which also checks that
+its closed loop is Hurwitz, and tested again; so the returned P always
+comes from a Schur step.  Where A0's eigenvectors are singular or their
+condition exceeds ``MODAL_COND`` (A0 near a Jordan block), every step
+is a Schur step.
 """
 
 from __future__ import annotations
@@ -53,6 +64,11 @@ COMPARISON_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 COMPARISON_HORIZON = 240.0
 #: Most Newton-Kleinman or sign-iteration steps of one Riccati solve.
 MAX_ITER = 60
+#: Largest 1-norm condition of the eigenvector matrix V of the initial closed
+#: loop for which Newton-Kleinman steps run in its eigenbasis; the step's
+#: error grows with it.  Over the tests' (a, mu, sponge) sweep and at
+#: n_side 100-400 the model's V has 1-norm condition 63 to 2.1e3.
+MODAL_COND = 1e6
 
 
 def lyapunov_solve(acl, q):
@@ -133,18 +149,97 @@ def _full_residual(a, b, c, p):
     return float(np.linalg.norm(res, "fro"))
 
 
+def _require_stabilizing(eigs):
+    """Raise UnstableClosedLoop unless ``eigs``, those of the initial closed loop, are damped."""
+    if np.any(eigs.real >= 0):
+        raise UnstableClosedLoop(
+            f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
+
+
+class _ModalSteps:
+    """Newton-Kleinman steps in the eigenbasis of the initial closed loop A0 = V diag(lam) V^-1.
+
+    With X~ = V^T X V the Lyapunov equation A0^T X + X A0 = R reads
+    X~ = Cy o (V^T R V), Cy_ij = 1 / (lam_i + lam_j).  A step from the gain
+    K has the closed loop A0 - b d^T, d = K - g0, so its P satisfies
+    A0^T P + P A0 = d x^T + x d^T - c c^T - K K^T with x = P b, the next
+    gain.  In hatted coordinates (x^ = V^T x, likewise c^, K^, d^, and
+    beta = V^-1 b) P~ beta = x^ is the complex n x n system
+    (I - diag(Cy (d^ o beta)) - diag(d^) Cy diag(beta)) x^
+        = -c^ o (Cy (c^ o beta)) - K^ o (Cy (K^ o beta)),
+    and the next gain is Re(V^-T x^).  At most four n x n complex arrays
+    are alive at once: V, V^-1, the system and its LU.
+    """
+
+    def __init__(self, lam, v, vinv, b, c, gain0):
+        self._lam, self._v, self._vinv = lam, v, vinv
+        self._beta = vinv @ b
+        self._c = v.T @ c
+        self._g0 = v.T @ gain0
+
+    def _cauchy(self):
+        cy = np.add.outer(self._lam, self._lam)
+        return np.reciprocal(cy, out=cy)
+
+    def step(self, gain):
+        """(next gain, x^) of the step from ``gain``."""
+        k = self._v.T @ gain
+        d = k - self._g0
+        beta, c = self._beta, self._c
+        system = self._cauchy()
+        rhs = -c * (system @ (c * beta)) - k * (system @ (k * beta))
+        diagonal = 1.0 - system @ (d * beta)
+        system *= d[:, None]
+        system *= -beta
+        system.flat[::len(d) + 1] += diagonal
+        x = np.linalg.solve(system, rhs)
+        return (self._vinv.T @ x).real, x
+
+    def iterate(self, gain, x):
+        """P = Re(V^-T (Cy o P~) V^-1) of the step from ``gain`` whose x^ is ``x``."""
+        k = self._v.T @ gain
+        d = k - self._g0
+        p = self._cauchy()
+        p *= np.stack([d, x, self._c, k], axis=1) @ np.stack([x, d, -self._c, -k])
+        left = self._vinv.T @ p
+        return np.matmul(left, self._vinv, out=p).real.copy()
+
+
+def _modal_steps(a, b, c, gain0):
+    """Check that a - b gain0^T is Hurwitz; its ``_ModalSteps``, or None past ``MODAL_COND``."""
+    lam, v = np.linalg.eig(a - np.outer(b, gain0))
+    _require_stabilizing(lam)
+    try:
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
+    return _ModalSteps(lam, v, vinv, b, c, gain0) if cond <= MODAL_COND else None
+
+
 def _newton_kleinman(a, b, c, gain, tol, max_iter, keep_iterates):
+    def settled(new, old):  # the stop rule |dK| <= tol * max(1, |K|)
+        return np.linalg.norm(new - old) <= tol * max(1.0, np.linalg.norm(new))
+
     q_out = np.outer(c, c)
+    modal = _modal_steps(a, b, c, gain)
     iterates = []
     for it in range(1, max_iter + 1):
+        if modal is not None:
+            gain_next, x = modal.step(gain)
+            if not settled(gain_next, gain):
+                if keep_iterates:
+                    iterates.append(modal.iterate(gain, x))
+                gain = gain_next
+                continue
+            modal = None  # this step meets the stop test: the Schur step below makes it again
         p = lyapunov_solve(a - np.outer(b, gain), q_out + np.outer(gain, gain))
         if keep_iterates:
             iterates.append(p)
         gain_next = b @ p
-        delta = np.linalg.norm(gain_next - gain)
-        gain = gain_next
-        if delta <= tol * max(1.0, np.linalg.norm(gain)):
+        if settled(gain_next, gain):
             return p, it, iterates
+        gain = gain_next
     raise NoConvergence(f"Newton-Kleinman stalled after {max_iter} iterations")
 
 
@@ -187,14 +282,10 @@ def care_solve(system: SemiDiscreteSystem, method="newton_kleinman", tol=1e-9, a
     gain0 = alpha0 * c
 
     if method == "newton_kleinman":
-        # the first Lyapunov solve rejects a non-stabilizing gain0 itself
         p, iterations, iterates = _newton_kleinman(
             shifted, b, c, gain0, tol, MAX_ITER, keep_iterates)
     else:
-        eigs = np.linalg.eigvals(shifted - np.outer(b, gain0))
-        if np.any(eigs.real >= 0):
-            raise UnstableClosedLoop(
-                f"initial feedback is not stabilizing (max Re = {eigs.real.max():.3e})")
+        _require_stabilizing(np.linalg.eigvals(shifted - np.outer(b, gain0)))
         p, iterations = _hamiltonian_sign(shifted, b, c, MAX_ITER)
         iterates = []
 

@@ -168,9 +168,9 @@ class TestSegmentedMarchAgainstDense:
         built = []
         init = dyn._JumpMap.__init__
 
-        def spy(self, *args):
-            built.append(args)
-            init(self, *args)
+        def spy(self, stepper, system, outputs):
+            built.append(outputs)
+            init(self, stepper, system, outputs)
 
         monkeypatch.setattr(dyn._JumpMap, "__init__", spy)
         system = small_system(24)
@@ -181,8 +181,10 @@ class TestSegmentedMarchAgainstDense:
         dt = 0.05
         traj = dyn.simulate_adaptive(system, z0, dt, steps * dt, gain=gain, scheme=scheme,
                                      chunk=(chunk or steps) * dt)
-        # the jump map is built exactly when the horizon has several segments
+        # the jump map is built exactly when the horizon has several segments,
+        # and carries only the gain's rows: the march reads Hdot off its states
         assert len(built) == (payoff == 0.0 and steps > dyn._BLOCK)
+        assert not any(built)
         assert np.array_equal(traj.times, dt * np.arange(steps + 1))
         reference = dense_reference(system, z0, dt, steps, theta, gain=gain)
         u_ref = np.zeros(steps + 1) if gain is None else -reference @ gain

@@ -110,6 +110,13 @@ class TestCareScalar:
             with pytest.raises(NoConvergence):
                 lqr.care_solve(SCALAR, method=method)
 
+    @pytest.mark.parametrize("method", lqr.METHODS)
+    def test_non_stabilizing_initial_gain_rejected(self, method):
+        # u = +5 Hdot feeds energy in: the initial closed loop has max Re = 0.116
+        with pytest.raises(UnstableClosedLoop,
+                           match=r"^initial feedback is not stabilizing \(max Re = 1\.160e-01\)$"):
+            lqr.care_solve(small_system(24), method=method, alpha0=-5.0)
+
 
 EPS = np.finfo(float).eps
 # every parity of n_side from 8 to 40, then both parities at n_side >= 100
@@ -269,6 +276,52 @@ class TestParameterSweep:
         assert np.linalg.matrix_rank(odd.T @ z, tol=1e-12) == 1
 
 
+@pytest.fixture
+def lyapunov_calls(monkeypatch):
+    """Count the Schur steps: the calls of ``lqr.lyapunov_solve`` made through the module."""
+    calls = []
+    original = lqr.lyapunov_solve
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(lqr, "lyapunov_solve", counted)
+    return calls
+
+
+class TestModalSteps:
+    @pytest.mark.parametrize("a, mu, sponge, n_side", SWEEP)
+    def test_schur_only_path_agrees_iterate_by_iterate(self, a, mu, sponge, n_side,
+                                                        lyapunov_calls, monkeypatch):
+        grid = dz.default_grid(PhysicalParams(a, mu), n_side=n_side)
+        system = dz.assemble(grid if sponge else grid.without_sponge())
+        modal = lqr.care_solve(system, keep_iterates=True)
+        assert len(lyapunov_calls) == 1
+        # no eigenbasis passes the guard: every step is a Schur step, as before
+        monkeypatch.setattr(lqr, "MODAL_COND", 0.0)
+        schur = lqr.care_solve(system, keep_iterates=True)
+        assert len(lyapunov_calls) == 1 + schur.iterations
+        assert modal.iterations == schur.iterations == len(modal.iterates)
+        for got, want in zip(modal.iterates, schur.iterates):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_jordan_block_takes_the_schur_path(self, lyapunov_calls):
+        # A0 = A - b c^T keeps the 2x2 Jordan block at -1, which c sees and b
+        # does not, and the mode at -3 that both see: V is singular to rounding
+        a = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        b, c = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0])
+        solution = lqr.care_solve(by_hand(a, b, c))
+        assert len(lyapunov_calls) == solution.iterations >= 2
+        reference = sla.solve_continuous_are(a, b[:, None], np.outer(c, c), np.eye(1))
+        assert np.abs(solution.P - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_one_schur_step_a_grid_solve(self, lyapunov_calls):
+        solution = lqr.care_solve(small_system())
+        assert len(lyapunov_calls) == 1
+        assert solution.iterations >= 4
+        assert solution.residual <= 1e-8 * (1.0 + np.linalg.norm(solution.P, "fro") ** 2)
+
+
 def full_newton_kleinman(system):
     """Newton-Kleinman on the whole state, from the energy feedback u = -Hdot."""
     shifted = lqr.deflate_zero_modes(system)
@@ -336,9 +389,11 @@ class TestMirrorHalf:
         spy(sla.lapack, "dsytrf")
         spy(np.linalg, "solve")
         spy(np.linalg, "eigvals")
+        spy(np.linalg, "eig")
+        spy(np.linalg, "inv")
         lqr.care_solve(system, method=method)
         if method == "newton_kleinman":
-            assert rows.keys() == {"schur", "solve"}
+            assert rows.keys() == {"schur", "solve", "eig", "inv"}
         else:
             assert rows.keys() == {"dsytrf", "solve", "eigvals"}
         for name, sizes in rows.items():
