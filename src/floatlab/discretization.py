@@ -142,7 +142,7 @@ def build_grid(params, L, n_side, sponge_width=0.0, sponge_strength=0.0) -> Grid
     return Grid(params, float(L), int(n_side), float(sponge_width), float(sponge_strength))
 
 
-def default_grid(params, n_side=100) -> Grid:
+def default_grid(params, n_side) -> Grid:
     """Desk-scale defaults: L = 20a and the sponge ``SPONGE_WIDTH``*a, ``SPONGE_STRENGTH``."""
     return build_grid(params, 20.0 * params.a, n_side, SPONGE_WIDTH * params.a, SPONGE_STRENGTH)
 
@@ -494,7 +494,7 @@ def preset_state(grid, name, /, **kwargs) -> State:
 
 
 def quadratic_forms(grid: Grid):
-    """Sparse symmetric forms (W, G, S) of the discrete energy identity.
+    """The symmetric forms (W, G, S) of the discrete energy identity, as slots and weights.
 
     Built from the stencil and quadrature that :func:`assemble` uses:
 
@@ -505,38 +505,23 @@ def quadratic_forms(grid: Grid):
       slope is -Hdot;
     - ``z^T S z`` is the sponge sink, the trapezoid rule of sigma*q^2.
 
-    Along a trajectory dE/dt = -mu * z^T G z + u * C z - z^T S z.
+    Along a trajectory dE/dt = -mu * z^T G z + u * C z - z^T S z.  Returns
+    ``(diagonals, rank_one, fluxes, slope_weights)``: the diagonals (2, dim)
+    of W and S; the weights (2, 2) of mean_q^2 and Hdot^2 in z^T W z and in
+    z^T G z, with mean_q = (q- + q+)/2; each side's flux slots (2, n_side),
+    -1 the pinned outer node, whose flux is 0; and the trapezoid weights over
+    (2*spacing)^2 of their squared stencil slopes.  So W is
+    diag(diagonals[0]) + 2a m m^T + (2a^3/3 + 1) C^T C, with m z = mean_q.
     """
-    import scipy.sparse as sps
-
-    a = grid.params.a
-    lay = grid.layout
-    sides, (rows, cols, weights), trapezoid, C = _nodal_operators(grid)
-    shape = (lay.dim, lay.dim)
-
-    def diagonal(slots, values):
-        kept = slots >= 0
-        return sps.coo_array((values[kept], (slots[kept], slots[kept])), shape=shape)
-
-    def outer(v):
-        v = sps.csr_array(v[None, :])
-        return v.T @ v
-
-    heights, fluxes = (np.concatenate(slots) for slots in zip(*sides))
-    mean = np.zeros(lay.dim)
-    mean[[lay.q_minus, lay.q_plus]] = 0.5
-    # exterior trapezoid of h^2 + q^2; interior closed forms 2a*H^2,
-    # 2a*mean_q^2 and (2a^3/3 + 1)*Hdot^2
-    W = (diagonal(np.r_[heights, fluxes, lay.H], np.r_[np.tile(trapezoid, 4), 2.0 * a])
-         + 2.0 * a * outer(mean) + (2.0 * a**3 / 3.0 + 1.0) * outer(C))
-
-    G = 2.0 * a * outer(C)
-    for _, q in sides:
-        kept = q[cols] >= 0
-        slope = sps.csr_array((weights[kept] / (2.0 * grid.spacing),
-                               (rows[kept], q[cols[kept]])), shape=(grid.n_side, lay.dim))
-        weighted = sps.diags_array(np.sqrt(trapezoid)) @ slope  # M^T M is exactly symmetric
-        G = G + weighted.T @ weighted
-
-    sink = np.concatenate([trapezoid * grid.sponge(xs) for xs in (grid.x_left, grid.x_right)])
-    return W.tocsr(), G.tocsr(), diagonal(fluxes, sink).tocsr()
+    a, lay = grid.params.a, grid.layout
+    sides, _, trapezoid, _ = _nodal_operators(grid)
+    heights, fluxes = (np.array(slots) for slots in zip(*sides))
+    kept = fluxes >= 0
+    diagonals = np.zeros((2, lay.dim))
+    diagonals[0, heights] = trapezoid
+    diagonals[0, fluxes[kept]] = np.broadcast_to(trapezoid, fluxes.shape)[kept]
+    diagonals[0, lay.H] = 2.0 * a
+    sink = trapezoid * np.array([grid.sponge(grid.x_left), grid.sponge(grid.x_right)])
+    diagonals[1, fluxes[kept]] = sink[kept]
+    rank_one = np.array([[2.0 * a, 2.0 * a**3 / 3.0 + 1.0], [0.0, 2.0 * a]])
+    return diagonals, rank_one, fluxes, trapezoid / (2.0 * grid.spacing) ** 2

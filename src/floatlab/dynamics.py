@@ -33,21 +33,21 @@ from step 0.  It chains the segment starts by the jump map, then marches
 ``_COLUMNS`` segments side by side, so each step of such a round is one
 multi-column solve; the states of each step are reduced at once to the
 sampled columns (H, Hdot, q-+, the energy and the energy audit's two
-quadratic forms), so no state history is kept unless asked for.  Each
-jumped start is checked against the marched end of the segment before
-it.  Where the horizon is too short to repay F (fewer than
-``_JUMP_PAYOFF`` dim^2 steps) the same loop marches one segment over the
-whole horizon and no map is built.  ``simulate`` is the same march with
-the history.
+forms, all slot arithmetic: scipy.sparse serves only the LU), so no
+state history is kept unless asked for.  Each jumped start is checked
+against the marched end of the segment before it.  Where the horizon is
+too short to repay F (fewer than ``_JUMP_PAYOFF`` dim^2 steps) the same
+loop marches one segment over the whole horizon and no map is built.
+``simulate`` is the same march with the history.
 
 ``feedback_costs`` marches several feedback gains at once on one
-factorisation and keeps only the running cost |u|^2 + |Hdot|^2, which a
-block's reads give; the jump map then moves to the next block, so a
-block costs one batched product and no solve.  ``lqr.compare_feedbacks``
-marches the mirror-even half, a system of dim 2 n_side with no mirror,
-whose squarings the saved solves repay up to about n_side 800.  The
-cost beyond the horizon is priced by the caller from the final states
-(``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
+factorisation and keeps only the running cost |u|^2 + |Hdot|^2 at each
+step's midpoint, which a block's reads give; the jump map then moves to
+the next block, so a block costs one batched product and no solve.
+``lqr.compare_feedbacks`` marches the mirror-even half, a system of dim
+2 n_side with no mirror, whose squarings the saved solves repay up to
+about n_side 800.  The cost beyond the horizon is priced by the caller
+from the final states (``lqr.compare_feedbacks`` uses z(T)^T P z(T)).
 """
 
 from __future__ import annotations
@@ -242,14 +242,24 @@ class Trajectory:
 def _sample(z, system, forms):
     """The sampled columns (7, k) of the k states in the columns of ``z``.
 
-    ``forms`` are (W, G, S) of ``quadratic_forms``; each is one sparse
-    product with the whole block.
+    H, Hdot = C z and q-+ are read off the block, and the forms
+    (``quadratic_forms``) reduced in one pass: the diagonals by one product
+    with z^2, the rank-one terms from q-+ and Hdot, and the stencil slopes of
+    ``discretization._nodal_operators`` by contiguous slices of the fluxes.
     """
     lay = system.grid.layout
-    z = np.ascontiguousarray(z)  # a step's block is column-major; each product would copy it
-    energies = np.array([np.einsum("ik,ik->k", form @ z, z) for form in forms])
-    energies[0] *= 0.5
-    return np.vstack([z[[lay.H]], system.C @ z, z[[lay.q_minus, lay.q_plus]], energies])
+    diagonals, rank_one, fluxes, slope_weights = forms
+    z = np.ascontiguousarray(z)  # a step's block is column-major; the reads below take rows
+    hdot = system.C @ z
+    diagonal, sink = diagonals @ (z * z)
+    energy, gradsq = rank_one @ np.array([0.5 * (z[lay.q_minus] + z[lay.q_plus]), hdot]) ** 2
+    q = z[fluxes]  # (2, n_side, k)
+    q[fluxes < 0] = 0.0  # the pinned outer node
+    slope = np.concatenate([-3.0 * q[:, :1] + 4.0 * q[:, 1:2] - q[:, 2:3], q[:, 2:] - q[:, :-2],
+                            3.0 * q[:, -1:] - 4.0 * q[:, -2:-1] + q[:, -3:-2]], axis=1)
+    gradsq += (slope_weights @ (slope * slope)).sum(axis=0)
+    return np.vstack([z[[lay.H]], hdot, z[[lay.q_minus, lay.q_plus]],
+                      0.5 * (diagonal + energy), gradsq, sink])
 
 
 class _JumpMap:
@@ -450,17 +460,27 @@ def simulate_adaptive(system, z0, dt, t_max, gain=None, scheme="trapezoidal",
                       states[:k + 1] if history else None)
 
 
+def _midpoint_squares(*rows):
+    """The sum over ``rows`` of ((x_j + x_j+1)/2)^2, for consecutive entries j along axis 0."""
+    return sum((0.5 * (x[:-1] + x[1:])) ** 2 for x in rows)
+
+
 def feedback_costs(system, z0, gains, T, dt, scheme):
     """Costs over [0, T] of the closed loops u = -K z from z0, one per row K of ``gains``.
 
     The m loops share one factorisation and march ``_BLOCK`` steps per
     block by the jump map: one batched product of the start states with
-    its ``reads`` gives every step's u = -K z and Hdot = C z, and F y + R v
-    moves to the next start.  A last part of fewer than ``_BLOCK`` steps is
-    stepped by ``Stepper.advance``.  Only the running cost |u|^2 + |Hdot|^2
-    is kept, not the state history.
-    Returns its m trapezoid integrals as an (m,) array and the final
-    states z(T) as the columns of a (dim, m) block.
+    its ``reads`` gives every step's K z and C z at both of its ends, and
+    F y + R v moves to the next start.  A last part of fewer than
+    ``_BLOCK`` steps is stepped by ``Stepper.advance``.  Only the running
+    cost is kept, not the state history: each step adds
+    dt * (((u_k + u_k+1)/2)^2 + ((Hdot_k + Hdot_k+1)/2)^2).  That sum is
+    exact only under the trapezoidal scheme: there the step moves
+    z_k+1 - z_k = dt (A zbar + B ubar) at the midpoint zbar, ubar = -K zbar,
+    so for the Riccati gain <P z0, z0> is the sum plus z(T)^T P z(T), to
+    rounding; under implicit Euler it is first-order accurate.
+    Returns the m sums as an (m,) array and the final states z(T) as the
+    columns of a (dim, m) block.
     """
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -469,23 +489,24 @@ def feedback_costs(system, z0, gains, T, dt, scheme):
     n_steps = _steps(T, dt)
     m = gains.shape[0]
     z = np.repeat(state_vector(system, z0)[:, None], m, axis=1)
-    running = np.empty((n_steps + 1, m))
+    running = np.empty((n_steps, m))
     n_blocks = n_steps // _BLOCK
     if n_blocks:
         jump = _JumpMap(stepper, system, outputs=True)
         y = jump.restrict(z)
         for k in range(0, n_blocks * _BLOCK, _BLOCK):
             out = np.matmul(jump.reads, y.T[:, :, None])[:, :, 0].T  # (2*_BLOCK + 2, m)
-            kz, hdot = out[:_BLOCK + 1], out[_BLOCK + 1:-1]  # K z_j, j <= _BLOCK; C z_j, j < _BLOCK
-            running[k:k + _BLOCK] = kz[:-1] ** 2 + hdot ** 2
+            kz, cz = out[:_BLOCK + 1], out[_BLOCK + 1:]  # K z_j and C z_j, j <= _BLOCK
+            running[k:k + _BLOCK] = _midpoint_squares(kz, cz)
             y = jump.advance(y, kz)
         z = jump.lift(y)
-    k = n_blocks * _BLOCK
-    running[k] = np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2
-    for k in range(k + 1, n_steps + 1):
+    inputs, outputs = [-np.vecdot(gains, z.T)], [system.C @ z]
+    for _ in range(n_blocks * _BLOCK, n_steps):
         z, u = stepper.advance(z)
-        running[k] = u ** 2 + (system.C @ z) ** 2
-    return np.trapezoid(running, dx=dt, axis=0), z
+        inputs.append(u)
+        outputs.append(system.C @ z)
+    running[n_blocks * _BLOCK:] = _midpoint_squares(np.array(inputs), np.array(outputs))
+    return dt * running.sum(axis=0), z
 
 
 @dataclass

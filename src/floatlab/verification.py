@@ -535,7 +535,11 @@ def suite_discretization(params):
     ev = dz.assemble(grid.without_sponge()).eigenvalues()
     max_re = float(ev.real.max())
 
-    w = dz.quadratic_forms(grid)[0].toarray()
+    (diagonal, _), rank_one, _, _ = dz.quadratic_forms(grid)
+    mean = np.zeros(system.dim)
+    mean[[grid.layout.q_minus, grid.layout.q_plus]] = 0.5
+    w = (np.diag(diagonal) + rank_one[0, 0] * np.outer(mean, mean)
+         + rank_one[0, 1] * np.outer(system.C, system.C))
     sym = float(np.abs(w - w.T).max())
     min_eig = float(np.linalg.eigvalsh(w).min())
     passed = (b_err <= ROUNDOFF and eq_err <= ROUNDOFF and max_re <= 1e-8

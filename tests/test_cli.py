@@ -602,6 +602,10 @@ class TestImportCost:
             f"assert cli.main({argv + ['resolvent-check']!r}) == 0",
             # the mirror split of the eigenvalues is slot arithmetic on numpy
             f"assert cli.main({argv + ['spectrum']!r}) == 0",
+            # the energy forms are slots and weights, sampled on numpy alone
+            "\n".join(["from floatlab import dynamics as dyn",
+                       "z = np.ones((grid.layout.dim, 4))",
+                       "dyn._sample(z, dz.assemble(grid), dz.quadratic_forms(grid))"]),
             "\n".join(["grid = np.linspace(1.0, 20.0, 9501)",
                        "phi = rv.HalfLineFunction('right', grid, np.exp(1.0 - grid))",
                        "rv.helmholtz_particular('right', 0.7 + 2.3j, phi)"]),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floatlab import discretization as dz
+from floatlab import dynamics as dyn
 from floatlab.errors import CompatibilityViolation, InvalidGeometry
 from floatlab.spectral import PhysicalParams, coupling_matrix
 
@@ -334,8 +335,13 @@ class TestEnergy:
         assert abs(values[400] - 5.0 / 6.0) < abs(values[100] - 5.0 / 6.0)
 
     def test_quadratic_form_matches_direct_evaluation(self):
+        # W = diag(w) + 2a m m^T + (2a^3/3 + 1) C^T C, m the mean-flux row
         grid = dz.default_grid(P11, n_side=24)
-        w = dz.quadratic_forms(grid)[0].toarray()
+        lay, a, c = grid.layout, grid.params.a, dz.assemble(grid).C
+        mean = np.zeros(lay.dim)
+        mean[[lay.q_minus, lay.q_plus]] = 0.5
+        w = (np.diag(dz.quadratic_forms(grid)[0][0]) + 2.0 * a * np.outer(mean, mean)
+             + (2.0 * a**3 / 3.0 + 1.0) * np.outer(c, c))
         assert np.abs(w - w.T).max() == 0.0
         assert np.linalg.eigvalsh(w).min() >= 0.0
         rng = np.random.default_rng(3)
@@ -359,26 +365,22 @@ class TestQuadraticForms:
     @pytest.mark.parametrize("sponge", [True, False])
     @pytest.mark.parametrize("n,a", [(16, 1.0), (64, 1.0), (64, 0.5)])
     def test_forms_match_direct_quadrature(self, n, a, sponge):
-        # np.gradient with edge_order=2 is the same stencil, written independently
+        # the sampled E, G and S of a block of states; np.gradient with
+        # edge_order=2 is the same stencil, written independently
         grid = dz.default_grid(PhysicalParams(a, 1.0), n_side=n)
         grid = grid if sponge else grid.without_sponge()
-        _, gradient, sink = dz.quadratic_forms(grid)
-        for state in random_states(grid, 5, seed=n):
-            z = state.flatten(grid)
+        states = random_states(grid, 5, seed=n)
+        block = np.column_stack([state.flatten(grid) for state in states])
+        samples = dyn._sample(block, dz.assemble(grid), dz.quadratic_forms(grid))
+        for state, (e, g, s) in zip(states, samples[4:].T):
             gradsq = sum(np.trapezoid(np.gradient(q, grid.spacing, edge_order=2) ** 2, x)
                          for x, _, q in sides(grid, state)) \
                 + 2.0 * grid.params.a * state.hdot(grid) ** 2
             sponge_sink = sum(np.trapezoid(grid.sponge(x) * q ** 2, x)
                               for x, _, q in sides(grid, state))
-            assert z @ gradient @ z == pytest.approx(gradsq, rel=1e-12)
-            assert z @ sink @ z == pytest.approx(sponge_sink, rel=1e-12, abs=0.0)
-
-    def test_forms_are_symmetric_psd(self):
-        grid = dz.default_grid(P11, n_side=24)
-        for form in dz.quadratic_forms(grid):
-            dense = form.toarray()
-            assert np.abs(dense - dense.T).max() == 0.0
-            assert np.linalg.eigvalsh(dense).min() >= -1e-12 * np.abs(dense).max()
+            assert e == pytest.approx(energy(state, grid), rel=1e-12)
+            assert g == pytest.approx(gradsq, rel=1e-12)
+            assert s == pytest.approx(sponge_sink, rel=1e-12, abs=0.0)
 
     def test_generator_rows_apply_the_same_stencil(self):
         grid = dz.default_grid(P11, n_side=24)

@@ -133,14 +133,35 @@ class TestStepperAgainstDense:
             dyn.Stepper(scalar_system(rate=2.0 / dt), dt)
 
 
+def quadrature(grid, states):
+    """(E, ||dq/dx||^2, sponge sink) of each row of ``states``, from the nodal fields.
+
+    Written apart from the sampler: the exterior trapezoid of h^2 + q^2
+    plus the interior closed forms in (H, q-, q+), np.gradient with
+    edge_order=2 for the slope, whose interior part is -Hdot, and sigma*q^2.
+    """
+    a, dx = grid.params.a, grid.spacing
+    rows = []
+    for z in states:
+        st = dz.State.unflatten(z, grid)
+        hdot, mean_q = st.hdot(grid), 0.5 * (st.q_plus + st.q_minus)
+        energy = 0.5 * (2.0 * a * mean_q**2 + (2.0 * a**3 / 3.0 + 1.0) * hdot**2
+                        + 2.0 * a * st.H**2)
+        gradsq, sink = 2.0 * a * hdot**2, 0.0
+        for x, h, q in ((grid.x_left, st.h_left, st.q_left),
+                        (grid.x_right, st.h_right, st.q_right)):
+            energy += 0.5 * np.trapezoid(h**2 + q**2, x)
+            gradsq += np.trapezoid(np.gradient(q, dx, edge_order=2) ** 2, x)
+            sink += np.trapezoid(grid.sponge(x) * q**2, x)
+        rows.append((energy, gradsq, sink))
+    return np.array(rows).T
+
+
 def dense_samples(system, states):
-    """The seven sampled columns of a state history, with the forms made dense."""
+    """The seven sampled columns of a state history, the forms by ``quadrature``."""
     lay = system.grid.layout
-    W, G, S = (form.toarray() for form in dz.quadratic_forms(system.grid))
     return [states[:, lay.H], states @ system.C, states[:, lay.q_minus], states[:, lay.q_plus],
-            0.5 * np.einsum("ti,ij,tj->t", states, W, states),
-            np.einsum("ti,ij,tj->t", states, G, states),
-            np.einsum("ti,ij,tj->t", states, S, states)]
+            *quadrature(system.grid, states)]
 
 
 class TestSegmentedMarchAgainstDense:
@@ -242,15 +263,15 @@ class TestSimulateAdaptive:
         traj = dyn.simulate(system, dz.bump_state(system.grid, center=12.0), T=8.0,
                             dt=0.02, gain=0.5 * system.C)
         lay = system.grid.layout
-        W, G, S = dz.quadratic_forms(system.grid)
         z = traj.states
+        energy, gradsq, sink = quadrature(system.grid, z)
         for got, want in ((traj.samples[0], z[:, lay.H]),
                           (traj.outputs(), z @ system.C),
                           (traj.samples[2], z[:, lay.q_minus]),
                           (traj.samples[3], z[:, lay.q_plus]),
-                          (traj.energies, 0.5 * np.einsum("ti,ti->t", z @ W, z)),
-                          (traj.samples[5], np.einsum("ti,ti->t", z @ G, z)),
-                          (traj.samples[6], np.einsum("ti,ti->t", z @ S, z))):
+                          (traj.energies, energy),
+                          (traj.samples[5], gradsq),
+                          (traj.samples[6], sink)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert traj.samples[6].max() > 0.0
 
@@ -435,7 +456,7 @@ class TestEnergyBalance:
 
 
 def assert_costs_match_marches(system, z0, gains, n_steps, scheme):
-    """feedback_costs against one simulate per gain (None the open loop), to 1e-12."""
+    """feedback_costs against each simulate's midpoint sum (a gain None is open loop), to 1e-12."""
     dt = 0.05
     rows = np.vstack([np.zeros(system.dim) if gain is None else gain for gain in gains])
     costs, z_end = dyn.feedback_costs(system, z0, rows, T=n_steps * dt, dt=dt, scheme=scheme)
@@ -443,7 +464,8 @@ def assert_costs_match_marches(system, z0, gains, n_steps, scheme):
     for j, gain, z in zip(costs, gains, z_end.T):
         traj = dyn.simulate(system, z0, T=n_steps * dt, dt=dt, gain=gain, scheme=scheme)
         assert traj.times.size == n_steps + 1
-        want = np.trapezoid(traj.inputs ** 2 + traj.outputs() ** 2, traj.times)
+        mid_u, mid_hdot = (0.5 * (x[:-1] + x[1:]) for x in (traj.inputs, traj.outputs()))
+        want = dt * np.sum(mid_u ** 2 + mid_hdot ** 2)
         assert want > 0.0
         assert j == pytest.approx(want, rel=1e-12, abs=0.0)
         assert np.abs(z - traj.states[-1]).max() <= 1e-12 * np.abs(traj.states[-1]).max()
@@ -489,6 +511,16 @@ class TestFeedbackCosts:
         gains = [None, 2.0 * system.C, lqr.care_solve(system).gain,
                  0.5 * system.C + 0.05 * rng.standard_normal(system.dim)]
         assert_costs_match_marches(system, dz.bump_state(system.grid), gains, n_steps, scheme)
+
+    @pytest.mark.parametrize("dt", [0.06, 0.03])
+    def test_midpoint_sum_is_the_riccati_cost(self, dt):
+        # under the trapezoidal scheme the midpoint sum plus z(T)^T P z(T)
+        # is <P z0, z0> to rounding, whatever the step
+        system = small_system(100)
+        table = lqr.compare_feedbacks(system, dz.heave_state(system.grid), (),
+                                      lqr.care_solve(system), T=240.0, dt=dt,
+                                      scheme="trapezoidal")
+        assert table.relative_gap <= 1e-10
 
 
 class TestEnergyFeedbackInequality:

@@ -445,7 +445,7 @@ class TestSignIteration:
     def test_step_count_at_default_grid(self):
         # Frobenius-norm scaling and the quadratic-phase stop take 11 steps
         # on the Hamiltonian at the default n_side 100
-        system = dz.assemble(dz.default_grid(P11))
+        system = dz.assemble(dz.default_grid(P11, n_side=100))
         solution = lqr.care_solve(system, method="hamiltonian_sign")
         assert 1 <= solution.iterations <= 12
         assert solution.residual <= 1e-8 * (1.0 + np.linalg.norm(solution.P, "fro") ** 2)
@@ -548,11 +548,13 @@ class TestCompareFeedbacks:
         gains = np.vstack([solution.gain] + [alpha * system.C for alpha in alphas])
         stepper = dyn.Stepper(system, 0.02, "trapezoidal", gains)
         z = np.repeat(z0.flatten(system.grid)[:, None], len(gains), axis=1)
-        running = [np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2]
+        inputs, outputs = [-np.vecdot(gains, z.T)], [system.C @ z]
         for _ in range(12_000):
             z, u = stepper.advance(z)
-            running.append(u ** 2 + (system.C @ z) ** 2)
-        want = np.trapezoid(np.array(running), dx=0.02, axis=0) \
+            inputs.append(u)
+            outputs.append(system.C @ z)
+        mid_u, mid_hdot = (0.5 * (x[:-1] + x[1:]) for x in map(np.array, (inputs, outputs)))
+        want = 0.02 * np.sum(mid_u ** 2 + mid_hdot ** 2, axis=0) \
             + np.einsum("ij,ik,kj->j", z, solution.P, z)
         got = np.array([row["J"] for row in table.rows])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min()
@@ -569,11 +571,13 @@ class TestCompareFeedbacks:
         gains = np.vstack([solution.gain] + [alpha * system.C for alpha in alphas])
         stepper = dyn.Stepper(system, 0.05, "trapezoidal", gains)
         z = np.repeat(z0.flatten(system.grid)[:, None], len(gains), axis=1)
-        running = [np.vecdot(gains, z.T) ** 2 + (system.C @ z) ** 2]
+        inputs, outputs = [-np.vecdot(gains, z.T)], [system.C @ z]
         for _ in range(400):
             z, u = stepper.advance(z)
-            running.append(u ** 2 + (system.C @ z) ** 2)
-        want = np.trapezoid(np.array(running), dx=0.05, axis=0) \
+            inputs.append(u)
+            outputs.append(system.C @ z)
+        mid_u, mid_hdot = (0.5 * (x[:-1] + x[1:]) for x in map(np.array, (inputs, outputs)))
+        want = 0.05 * np.sum(mid_u ** 2 + mid_hdot ** 2, axis=0) \
             + np.einsum("ij,ik,kj->j", z, solution.P, z)
         got = np.array([row["J"] for row in table.rows])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min()
