@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import sys
@@ -164,9 +165,10 @@ def cmd_spectrum(cfg, out_dir):
 
     rows = []
     for label, system in (("eig_sponge_on", system_on), ("eig_sponge_off", system_off)):
-        for lam in system.eigenvalues():
-            rows.append((lam.real, lam.imag,
-                         sp.spectrum_distance(complex(lam), params, singular), label))
+        lams = system.eigenvalues()
+        dists = sp.spectrum_distance(lams, params, singular)
+        rows.extend((re, im, dist, label) for re, im, dist
+                    in zip(lams.real.tolist(), lams.imag.tolist(), dists.tolist()))
     for root in singular:
         rows.append((root.real, root.imag, 0.0, "singular_set"))
 
@@ -265,7 +267,9 @@ def cmd_verify(cfg, out_dir, fault):
     return 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="floatlab",
                                      description="floating-solid control laboratory")
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
@@ -284,8 +288,11 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify")
     p_ver.add_argument("--inject-fault", default=None, choices=["m_inverse"],
                        help="corrupt one formula to prove the harness catches it")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

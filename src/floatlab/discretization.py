@@ -103,13 +103,17 @@ class Grid:
     def spacing(self) -> float:
         return (self.L - self.params.a) / (self.n_side - 1)
 
-    @property
+    @cached_property
     def x_left(self) -> np.ndarray:
-        return np.linspace(-self.L, -self.params.a, self.n_side)
+        x = np.linspace(-self.L, -self.params.a, self.n_side)
+        x.flags.writeable = False  # one array per grid, shared by every caller
+        return x
 
-    @property
+    @cached_property
     def x_right(self) -> np.ndarray:
-        return np.linspace(self.params.a, self.L, self.n_side)
+        x = np.linspace(self.params.a, self.L, self.n_side)
+        x.flags.writeable = False  # one array per grid, shared by every caller
+        return x
 
     @cached_property
     def layout(self) -> StateLayout:

@@ -11,6 +11,14 @@ Everything here is evaluated on a truncated uniform grid [a, L]
 are kept in scaled form exp(omega*(xi - x)) with nonpositive exponent so
 that no intermediate overflows, and the tail beyond L is dropped (the
 source is taken to vanish there).
+
+The solves run on value arrays (the left side as its mirror on the right,
+through reversed views) and wrap only their results, on grids the caller
+validated.  The kernel sums work in place with the powers as the left
+factor: numpy's vectorised complex multiply rounds differently with the
+operands swapped.  The spectrum distance that guards the resolvent takes
+np.hypot of the real and imaginary parts: numpy's complex abs does not
+round as Python's abs does.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ class HalfLineFunction:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.size < 2:
             raise GridMismatch("grid must be one-dimensional with >= 2 nodes")
-        if not np.all(np.diff(grid) > 0):
+        if not (grid[1:] > grid[:-1]).all():
             raise GridMismatch("grid must be strictly increasing")
         if values.shape != grid.shape:
             raise GridMismatch("values and grid must have matching shapes")
@@ -78,38 +86,48 @@ def _require_decaying(omega):
     return omega
 
 
-def _reflected(phi: HalfLineFunction) -> HalfLineFunction:
-    """Mirror x -> -x, mapping a left-side function onto the right side."""
-    side = "right" if phi.side == "left" else "left"
-    return HalfLineFunction(side, -phi.grid[::-1], phi.values[::-1])
+def _wrap(side, grid, values) -> HalfLineFunction:
+    """A HalfLineFunction on a grid its caller validated, without the checks."""
+    f = object.__new__(HalfLineFunction)
+    f.__dict__.update(side=side, grid=grid, values=values)
+    return f
 
 
 def _running_sums(g, power, d):
     """out[j] = d*out[j-1] + g[j], out[0] = g[0], with power = [1, d, d^2, ...].
 
     Within a block of len(power) nodes out = power * cumsum(g / power); the
-    last value of a block, times d, carries into the next.
+    last value of a block, times d, carries into the next.  Each block is
+    done in place, power the left factor (``block *= p`` rounds otherwise).
     """
     out = np.empty(g.size, dtype=complex)
     carry = 0.0
     for s in range(0, g.size, power.size):
         e = min(s + power.size, g.size)
-        out[s:e] = power[:e - s] * (carry + np.cumsum(g[s:e] / power[:e - s]))
+        p, block = power[:e - s], out[s:e]
+        np.divide(g[s:e], p, out=block)
+        np.cumsum(block, out=block)
+        block += carry
+        np.multiply(p, block, out=block)
         carry = d * out[e - 1]
     return out
 
 
-def _solve_right(omega, grid, gamma, values):
-    """Solution and derivative of the half-line problem on a uniform right grid.
+def _solve(side, omega, grid, gamma, values, derivative=True):
+    """Solution and derivative of the half-line problem on a uniform grid.
 
-    Built from the trapezoid cumulants of the two exponential kernels,
+    On the right, built from the trapezoid cumulants of the two kernels,
         fwd[j] = int_{x0}^{xj} exp(omega*(xi - xj)) * phi(xi) dxi,
         bwd[j] = int_{xj}^{xN} exp(-omega*(xi - xj)) * phi(xi) dxi,
     first-order recurrences with the factor d = exp(-omega*h), whose
     powers d^k are decay[k].  They run in blocks over which Re(omega)
     times the block length is at most ``_SCAN_EXPONENT``, so that every
-    power and its reciprocal is finite.
+    power and its reciprocal is finite.  The left side is solved as its
+    mirror x -> -x, through reversed views.  dq is None without ``derivative``.
     """
+    if side == "left":
+        q, dq = _solve("right", omega, -grid[::-1], gamma, values[::-1], derivative)
+        return q[::-1], (None if dq is None else (-dq)[::-1])
     steps = np.diff(grid)
     # uniform up to the rounding of the abscissae themselves
     if not np.abs(steps - steps[0]).max() <= 4 * np.finfo(float).eps * np.abs(grid).max():
@@ -127,8 +145,19 @@ def _solve_right(omega, grid, gamma, values):
     g[1:] = half * (rev_vals[1:] + d * rev_vals[:-1])
     bwd = _running_sums(g, power, d)[::-1]
     q = (fwd + bwd - decay * bwd[0]) / (2.0 * omega) + gamma * decay
+    if not derivative:
+        return q, None
     dq = 0.5 * (-fwd + bwd + decay * bwd[0]) - omega * gamma * decay
     return q, dq
+
+
+def _halfline(side, omega, gamma, phi, derivative):
+    """The checked solve behind both public half-line solvers."""
+    omega = _require_decaying(omega)
+    if phi.side != side:
+        raise GridMismatch(f"phi lives on side {phi.side!r}, expected {side!r}")
+    q, dq = _solve(side, omega, phi.grid, gamma, phi.values, derivative)
+    return _wrap(side, phi.grid, q), dq if dq is None else _wrap(side, phi.grid, dq)
 
 
 def exponential_extension(side, omega, gamma, grid) -> HalfLineFunction:
@@ -149,9 +178,12 @@ def helmholtz_particular(side, omega, phi: HalfLineFunction) -> HalfLineFunction
     Evaluates the three exponential-kernel integrals by composite
     trapezoid quadrature on the grid of ``phi``, which must be uniform
     (GridMismatch otherwise); the result vanishes at the solid boundary
-    and decays toward the truncation end.
+    and decays toward the truncation end.  It is q of
+    :func:`helmholtz_halfline_with_derivative` at gamma = 0, bit for bit,
+    with the same relative error eps / (|omega| (L - a)) at small omega,
+    which only :func:`resolvent_apply` guards, through ``PROXIMITY_TOL``.
     """
-    return helmholtz_halfline_with_derivative(side, omega, 0.0, phi)[0]
+    return _halfline(side, omega, 0.0, phi, derivative=False)[0]
 
 
 def helmholtz_halfline_with_derivative(side, omega, gamma, phi):
@@ -159,19 +191,13 @@ def helmholtz_halfline_with_derivative(side, omega, gamma, phi):
 
     Returns q and dq/dx.  The derivative comes from the closed-form
     differentiated kernel expressions, not from finite differences of
-    the solution.
+    the solution.  q divides a cancelling sum of the two kernel sums by
+    omega, so its relative error grows like eps / (|omega| (L - a)):
+    1.35e-12 at Re(omega) h = 1e-4 on a 2-node grid over [1, 20].  Only
+    :func:`resolvent_apply` guards against a tiny omega, through
+    ``PROXIMITY_TOL``; a direct caller gets what it asks for.
     """
-    omega = _require_decaying(omega)
-    if phi.side != side:
-        raise GridMismatch(f"phi lives on side {phi.side!r}, expected {side!r}")
-    work = phi if side == "right" else _reflected(phi)
-    q, dq = _solve_right(omega, work.grid, gamma, work.values)
-    if side == "right":
-        return (HalfLineFunction(side, work.grid, q),
-                HalfLineFunction(side, work.grid, dq))
-    qf = _reflected(HalfLineFunction("right", work.grid, q))
-    dqf = _reflected(HalfLineFunction("right", work.grid, -dq))
-    return qf, dqf
+    return _halfline(side, omega, gamma, phi, derivative=True)
 
 
 @dataclass(frozen=True)
@@ -237,15 +263,16 @@ def resolvent_apply(lam, params: PhysicalParams, inp: ResolventInput) -> Resolve
     f2_l, f2_r = inp.f2
     f2p_l, f2p_r = inp.f2_prime
     f3_l, f3_r = inp.f3
+    x_l, x_r = f3_l.grid, f3_r.grid
     denom = 1.0 + mu * lam
-    phi_l = HalfLineFunction("left", f3_l.grid, (lam * f3_l.values - f2p_l.values) / denom)
-    phi_r = HalfLineFunction("right", f3_r.grid, (lam * f3_r.values - f2p_r.values) / denom)
+    phi_l = (lam * f3_l.values - f2p_l.values) / denom
+    phi_r = (lam * f3_r.values - f2p_r.values) / denom
 
     # boundary-weighted source integrals, kernels scaled to exponent <= 0
-    kern_l = np.exp(omega * (phi_l.grid - phi_l.grid[-1]))
-    int_l = np.trapezoid(kern_l * phi_l.values, phi_l.grid)
-    kern_r = np.exp(-omega * (phi_r.grid - phi_r.grid[0]))
-    int_r = np.trapezoid(kern_r * phi_r.values, phi_r.grid)
+    kern_l = np.exp(omega * (x_l - x_l[-1]))
+    int_l = np.trapezoid(kern_l * phi_l, x_l)
+    kern_r = np.exp(-omega * (x_r - x_r[0]))
+    int_r = np.trapezoid(kern_r * phi_r, x_r)
 
     rhs = (coupling_matrix_inverse(params) @ np.array([inp.f4, inp.f5])
            + (4.0 * a * a / lam) * np.array([
@@ -260,10 +287,11 @@ def resolvent_apply(lam, params: PhysicalParams, inp: ResolventInput) -> Resolve
         raise SingularMatrix(f"boundary-trace system singular at lambda={lam}") from exc
     q_minus, q_plus = (complex(traces[0]), complex(traces[1]))
 
-    q_l, dq_l = helmholtz_halfline_with_derivative("left", omega, q_minus, phi_l)
-    q_r, dq_r = helmholtz_halfline_with_derivative("right", omega, q_plus, phi_r)
+    q_l, dq_l = _solve("left", omega, x_l, q_minus, phi_l)
+    q_r, dq_r = _solve("right", omega, x_r, q_plus, phi_r)
 
-    h_l = HalfLineFunction("left", f2_l.grid, (f2_l.values - dq_l.values) / lam)
-    h_r = HalfLineFunction("right", f2_r.grid, (f2_r.values - dq_r.values) / lam)
+    h_l = _wrap("left", f2_l.grid, (f2_l.values - dq_l) / lam)
+    h_r = _wrap("right", f2_r.grid, (f2_r.values - dq_r) / lam)
     H_lam = (inp.f1 - (q_plus - q_minus) / (2.0 * a)) / lam
-    return ResolventOutput(H_lam, (h_l, h_r), (q_l, q_r), q_minus, q_plus)
+    q_lam = (_wrap("left", x_l, q_l), _wrap("right", x_r, q_r))
+    return ResolventOutput(H_lam, (h_l, h_r), q_lam, q_minus, q_plus)

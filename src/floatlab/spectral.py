@@ -189,27 +189,28 @@ def singular_points(params) -> tuple[complex, ...]:
     return tuple(roots)
 
 
-def spectrum_distance(lam, params, singular=()) -> float:
-    """Euclidean distance from lambda to the spectrum set.
+def spectrum_distance(lam, params, singular=()):
+    """Euclidean distance from lambda to the spectrum set, elementwise.
 
     The set is the union of {0}, the ``singular`` points (a tuple from
     :func:`singular_points`; none by default), the half-line
     (-inf, -1/mu] and the circle |lambda + 1/mu| = 1/mu restricted to
     the left half-plane (its only closure point with Re >= 0 is 0,
-    already included).
+    already included).  A scalar lambda gives a float, an array an
+    array.  Moduli are np.hypot of the real and imaginary parts, which
+    rounds as Python's abs(complex) does; numpy's complex abs does not.
     """
-    lam = complex(lam)
-    mu = params.mu
-    dists = [abs(lam)]
-    dists.extend(abs(lam - s) for s in singular)
+    lam = np.asarray(lam, dtype=complex)
+    re, im = lam.real, lam.imag
+    scale = 1.0 / params.mu
+    shifted = np.hypot(re + scale, im)
     # half-line (-inf, -1/mu]
-    if lam.real <= -1.0 / mu:
-        dists.append(abs(lam.imag))
-    else:
-        dists.append(abs(lam + 1.0 / mu))
+    dist = np.minimum(np.hypot(re, im), np.where(re <= -scale, np.abs(im), shifted))
+    for s in singular:
+        dist = np.minimum(dist, np.hypot(re - s.real, im - s.imag))
     # circle of radius 1/mu centred at -1/mu
-    dists.append(abs(abs(lam + 1.0 / mu) - 1.0 / mu))
-    return min(dists)
+    dist = np.minimum(dist, np.abs(shifted - scale))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def boundary_system_determinant(lam, params) -> complex:

@@ -574,6 +574,24 @@ class TestOutputError:
         assert err.startswith("output error: ") and err.count("\n") == 1
 
 
+class TestRepeatedCalls:
+    def test_verbs_in_one_process_write_what_fresh_processes_write(self, tmp_path):
+        # the benchmark's calling pattern: one parser serves every verb of
+        # the process
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        assert cli.main(["--out", str(here / "simulate"), "simulate", "--z0", "flow",
+                         "--controller", "alpha:2"]) == 0
+        for name, argv in (("spectrum", ["spectrum"]),
+                           ("resolvent", ["--seed", "3", "resolvent-check"])):
+            assert cli.main(["--out", str(here / name), *argv]) == 0
+            subprocess.run([sys.executable, "-m", "floatlab.cli", "--out", str(fresh / name),
+                            *argv], env=child_env(), check=True)
+            files = sorted(p.name for p in (fresh / name).iterdir())
+            assert files == sorted(p.name for p in (here / name).iterdir())
+            for file in files:
+                assert (here / name / file).read_bytes() == (fresh / name / file).read_bytes()
+
+
 class TestImportCost:
     # importing scipy.sparse, scipy.linalg and scipy.sparse.linalg costs about
     # 0.4 s and 32 MB (0.3 s and 22 MB for scipy.sparse alone); a verb loads

@@ -22,6 +22,19 @@ class TestGrid:
         assert grid.x_left == pytest.approx([-8, -7, -6, -5, -4, -3, -2, -1])
         assert grid.x_right == pytest.approx([1, 2, 3, 4, 5, 6, 7, 8])
 
+    def test_nodes_are_one_read_only_array_per_grid(self):
+        grid = dz.build_grid(P11, 20.0, 100, 5.0, 1.0)
+        assert grid.x_left is grid.x_left and grid.x_right is grid.x_right
+        with pytest.raises(ValueError):
+            grid.x_left[0] = 0.0
+        with pytest.raises(ValueError):
+            np.negative(grid.x_right, out=grid.x_right)
+        bare = grid.without_sponge()
+        for mine, theirs, ends in ((grid.x_left, bare.x_left, (-20.0, -1.0)),
+                                   (grid.x_right, bare.x_right, (1.0, 20.0))):
+            assert theirs is not mine
+            assert theirs.tobytes() == mine.tobytes() == np.linspace(*ends, 100).tobytes()
+
     def test_sponge_profile(self):
         grid = dz.build_grid(P11, 5.0, 9, sponge_width=2.0, sponge_strength=2.0)
         assert grid.sponge(np.array([5.0]))[0] == pytest.approx(2.0)

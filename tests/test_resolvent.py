@@ -37,6 +37,10 @@ class TestHalfLineFunction:
         f = rv.HalfLineFunction("left", [-5.0, -3.0, -1.0], [1.0, 2.0, 3.0])
         assert f.boundary_value == 3.0
 
+    def test_values_match_the_grid(self):
+        with pytest.raises(GridMismatch):
+            rv.HalfLineFunction("right", [1.0, 2.0, 3.0], [0, 0])
+
 
 class TestExponentialExtension:
     def test_boundary_node_is_gamma(self):
@@ -132,7 +136,7 @@ class TestUniformPath:
                 omega = rate / h / math.cos(phase) * cmath.exp(1j * phase)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    q, dq = rv._solve_right(omega, grid, 0.0, values)
+                    q, dq = rv._solve("right", omega, grid, 0.0, values)
                 bwd = omega * q + dq
                 fwd = omega * q - dq + np.exp(-omega * (grid - grid[0])) * bwd[0]
                 for got, ref in zip((fwd, bwd), self.per_node_cumulatives(omega, grid, values)):
@@ -144,6 +148,59 @@ class TestUniformPath:
         phi = rv.HalfLineFunction("right", grid, np.exp(-(grid - 1.0)))
         with pytest.raises(GridMismatch):
             rv.helmholtz_particular("right", 1.0, phi)
+
+
+class TestArrayPath:
+    # the solvers work on value arrays and wrap only their results, on the
+    # grids their callers validated; the results are the same bits as those
+    # of the public half-line solve
+
+    @staticmethod
+    def validations(monkeypatch):
+        """The sides of the HalfLineFunctions validated from now on."""
+        seen = []
+        check = rv.HalfLineFunction.__post_init__
+
+        def spy(self):
+            seen.append(self.side)
+            check(self)
+
+        monkeypatch.setattr(rv.HalfLineFunction, "__post_init__", spy)
+        return seen
+
+    def test_resolvent_apply_validates_no_half_line_function(self, monkeypatch):
+        grid = dz.build_grid(P11, 20.0, 100)
+        inp = vf.random_resolvent_input(grid, np.random.default_rng(5))
+        seen = self.validations(monkeypatch)
+        out = rv.resolvent_apply(2 + 2j, P11, inp)
+        assert seen == []
+        for got, given in ((out.h_lambda, inp.f2), (out.q_lambda, inp.f3)):
+            assert all(o.grid is i.grid and o.side == i.side for o, i in zip(got, given))
+
+    def test_left_particular_validates_nothing(self, monkeypatch):
+        g = -right_grid(0.01)[::-1]
+        phi = rv.HalfLineFunction("left", g, np.exp(g + 1.0))
+        seen = self.validations(monkeypatch)
+        q = rv.helmholtz_particular("left", 1.0, phi)
+        assert seen == []
+        assert q.side == "left" and q.grid is phi.grid
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("rate", [1e-2, 1.0, 400.0])
+    def test_particular_is_the_zero_boundary_solve_bit_for_bit(self, side, rate):
+        # Re(omega) h = 400 exceeds _SCAN_EXPONENT: one node per block
+        rng = np.random.default_rng(9)
+        for n in (2, 101, 2000):
+            x = np.linspace(1.0, 20.0, n)
+            g = x if side == "right" else -x[::-1]
+            h = x[1] - x[0]
+            phi = rv.HalfLineFunction(side, g, rng.standard_normal(n)
+                                      + 1j * rng.standard_normal(n))
+            for phase in (0.0, 0.7, 1.5):
+                omega = rate / h / math.cos(phase) * cmath.exp(1j * phase)
+                part = rv.helmholtz_particular(side, omega, phi).values
+                full = rv.helmholtz_halfline_with_derivative(side, omega, 0.0, phi)[0].values
+                assert part.tobytes() == full.tobytes(), (n, phase)
 
 
 class TestHelmholtzHalfline:

@@ -248,6 +248,36 @@ class TestSpectrumDistance:
         s = sp.singular_points(P11)
         assert sp.spectrum_distance(1.0, P11, s) == pytest.approx(1.0)
 
+    @staticmethod
+    def python_distance(lam, params, singular):
+        """The distance in Python complex arithmetic, whose abs is libm's hypot."""
+        lam, scale = complex(lam), 1.0 / params.mu
+        dists = [abs(lam)] + [abs(lam - s) for s in singular]
+        dists.append(abs(lam.imag) if lam.real <= -scale else abs(lam + scale))
+        dists.append(abs(abs(lam + scale) - scale))
+        return min(dists)
+
+    @pytest.mark.parametrize("mu", [1.0, 0.3])
+    @pytest.mark.parametrize("singular", [(), (-0.3 + 0.4j, -1.7 - 0.2j, -0.05 + 0j)])
+    def test_array_matches_the_scalar_bit_for_bit(self, mu, singular):
+        # numpy's complex abs rounds unlike Python's abs: the array path
+        # takes np.hypot of the parts, as abs(complex) does
+        params = sp.PhysicalParams(1.0, mu)
+        scale = 1.0 / mu
+        grid = dz.default_grid(params, 100)
+        eigs = [dz.assemble(g).eigenvalues() for g in (grid, grid.without_sponge())]
+        near = np.array([0.0, 1e-12])
+        near = np.concatenate([near, -near])
+        halfline = [complex(-scale - t, d) for t in (0.0, 0.5, 3.0) for d in near]
+        circle = [-scale + scale * (1.0 + d) * cmath.exp(1j * t)
+                  for t in np.linspace(0.1, 3.1, 7) for d in near]
+        points = np.concatenate(eigs + [halfline, circle, [0.0, -2.0 * scale]])
+        dists = sp.spectrum_distance(points, params, singular)
+        scalars = [sp.spectrum_distance(z, params, singular) for z in points.tolist()]
+        assert all(type(d) is float for d in scalars)
+        assert dists.tolist() == scalars
+        assert scalars == [self.python_distance(z, params, singular) for z in points.tolist()]
+
 
 class TestSectorSweeps:
     def test_lower_bound_example(self):
